@@ -333,11 +333,9 @@ void encode_verify_options(ByteWriter& out, const VerifyOptions& options) {
   out.i64(options.search_limit);
   out.u64(options.explore.max_states);
   out.u32(options.explore.jobs);
-  out.u8(static_cast<std::uint8_t>(options.explore.engine));
   out.boolean(options.transform.instrument_constraint4);
   out.boolean(options.run_constraint_checks);
   out.i32(options.top_k);
-  out.str(options.cache_dir);
 }
 
 VerifyOptions decode_verify_options(ByteReader& in) {
@@ -345,14 +343,9 @@ VerifyOptions decode_verify_options(ByteReader& in) {
   options.search_limit = in.i64();
   options.explore.max_states = static_cast<std::size_t>(in.u64());
   options.explore.jobs = in.u32();
-  const std::uint8_t engine = in.u8();
-  PSV_REQUIRE_AS(ErrorCode::kProtocol, engine <= 1,
-                 "malformed payload: engine tag " + std::to_string(engine));
-  options.explore.engine = static_cast<mc::QueryEngine>(engine);
   options.transform.instrument_constraint4 = in.boolean();
   options.run_constraint_checks = in.boolean();
   options.top_k = in.i32();
-  options.cache_dir = in.str();
   return options;
 }
 
@@ -512,7 +505,7 @@ SourceSynthRequest decode_source_synth_request(ByteReader& in) {
   return request;
 }
 
-void encode_synth_report(ByteWriter& out, const SynthReport& report, std::uint16_t version) {
+void encode_synth_report(ByteWriter& out, const SynthReport& report) {
   out.u64(report.requirements.size());
   for (const TimingRequirement& req : report.requirements)
     encode_timing_requirement(out, req);
@@ -528,18 +521,14 @@ void encode_synth_report(ByteWriter& out, const SynthReport& report, std::uint16
     out.boolean(f.bounded);
     out.i64(f.tightest_ms);
     out.str(f.witness);
-    // Protocol v4: the witness candidate's ranked critical traces, gated on
-    // the negotiated version so v3 peers parse the prefix they expect.
-    if (version >= 4) {
-      out.u64(f.critical.size());
-      for (const CriticalTrace& ct : f.critical) {
-        out.i64(ct.delay_ms);
-        out.i64(ct.slack_ms);
-        mc::write_trace(out, ct.trace);
-      }
-      out.u64(f.witness_consts.size());
-      for (const std::int32_t c : f.witness_consts) out.i32(c);
+    out.u64(f.critical.size());
+    for (const CriticalTrace& ct : f.critical) {
+      out.i64(ct.delay_ms);
+      out.i64(ct.slack_ms);
+      mc::write_trace(out, ct.trace);
     }
+    out.u64(f.witness_consts.size());
+    for (const std::int32_t c : f.witness_consts) out.i32(c);
   }
   out.u64(report.stats.candidates_total);
   out.u64(report.stats.pruned_analytic);
@@ -551,6 +540,10 @@ void encode_synth_report(ByteWriter& out, const SynthReport& report, std::uint16
 }
 
 SynthReport decode_synth_report(ByteReader& in, std::uint16_t version) {
+  PSV_REQUIRE_AS(ErrorCode::kProtocol, version == kPayloadVersion,
+                 "synth report layout of protocol version " + std::to_string(version) +
+                     " is not supported; this build speaks version " +
+                     std::to_string(kPayloadVersion));
   SynthReport report;
   const std::size_t reqs = in.length(/*min_element_size=*/8 + 8 + 8 + 8);
   check_count(reqs, "requirement");
@@ -584,22 +577,20 @@ SynthReport decode_synth_report(ByteReader& in, std::uint16_t version) {
     f.bounded = in.boolean();
     f.tightest_ms = in.i64();
     f.witness = in.str();
-    if (version >= 4) {
-      const std::size_t traces = in.length(/*min_element_size=*/8 + 8 + 8);
-      PSV_REQUIRE_AS(ErrorCode::kProtocol, traces <= static_cast<std::size_t>(mc::kMaxTopK),
-                     "malformed payload: critical-trace count " + std::to_string(traces));
-      f.critical.reserve(traces);
-      for (std::size_t t = 0; t < traces; ++t) {
-        CriticalTrace ct;
-        ct.delay_ms = in.i64();
-        ct.slack_ms = in.i64();
-        ct.trace = mc::read_trace(in);
-        f.critical.push_back(std::move(ct));
-      }
-      const std::size_t consts = in.length(/*min_element_size=*/4);
-      f.witness_consts.reserve(consts);
-      for (std::size_t c = 0; c < consts; ++c) f.witness_consts.push_back(in.i32());
+    const std::size_t traces = in.length(/*min_element_size=*/8 + 8 + 8);
+    PSV_REQUIRE_AS(ErrorCode::kProtocol, traces <= static_cast<std::size_t>(mc::kMaxTopK),
+                   "malformed payload: critical-trace count " + std::to_string(traces));
+    f.critical.reserve(traces);
+    for (std::size_t t = 0; t < traces; ++t) {
+      CriticalTrace ct;
+      ct.delay_ms = in.i64();
+      ct.slack_ms = in.i64();
+      ct.trace = mc::read_trace(in);
+      f.critical.push_back(std::move(ct));
     }
+    const std::size_t consts = in.length(/*min_element_size=*/4);
+    f.witness_consts.reserve(consts);
+    for (std::size_t c = 0; c < consts; ++c) f.witness_consts.push_back(in.i32());
     report.feasibility.push_back(std::move(f));
   }
   report.stats.candidates_total = in.u64();

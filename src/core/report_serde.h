@@ -24,11 +24,18 @@
 // with ErrorCode::kProtocol on malformed input.
 #pragma once
 
+#include <cstdint>
+
 #include "core/service.h"
 #include "core/synth.h"
 #include "util/serde.h"
 
 namespace psv::core {
+
+/// Wire-protocol version of every payload layout in this file.
+/// net::kProtocolVersion is this constant: the protocol has one version and
+/// no down-level layouts.
+inline constexpr std::uint16_t kPayloadVersion = 5;
 
 /// A VerifyRequest as it travels the wire: program sources plus typed
 /// requirements and options. Scheme sources are index-aligned with the
@@ -56,7 +63,7 @@ TimingRequirement decode_timing_requirement(ByteReader& in);
 void encode_verify_report(ByteWriter& out, const VerifyReport& report);
 VerifyReport decode_verify_report(ByteReader& in);
 
-/// A SynthRequest as it travels the wire (protocol v3 kSynth frames):
+/// A SynthRequest as it travels the wire (kSynth frames):
 /// program sources plus typed requirements and options. The scheme source
 /// is a synthesis TEMPLATE (.pss text with sweep ranges,
 /// lang::parse_scheme_template).
@@ -75,13 +82,12 @@ SynthRequest to_synth_request(const SourceSynthRequest& request);
 void encode_source_synth_request(ByteWriter& out, const SourceSynthRequest& request);
 SourceSynthRequest decode_source_synth_request(ByteReader& in);
 
-/// SynthReport travels field-for-field; frontier_text()/summary() of a
-/// decoded report render byte-identical to the server-side report.
-/// `version` is the NEGOTIATED wire-protocol version: v4+ appends the
-/// feasibility entries' witness critical traces (+ replay constants); on a
-/// v3 connection they are silently dropped, which only affects
-/// feasibility_detail() rendering — frontier lines are identical.
-void encode_synth_report(ByteWriter& out, const SynthReport& report, std::uint16_t version = 4);
-SynthReport decode_synth_report(ByteReader& in, std::uint16_t version = 4);
+/// SynthReport travels field-for-field (including the feasibility entries'
+/// witness critical traces and replay constants); frontier_text()/summary()
+/// and feasibility_detail() of a decoded report render byte-identical to the
+/// server-side report. `version` is the negotiated wire-protocol version;
+/// anything but kPayloadVersion is rejected with kProtocol.
+void encode_synth_report(ByteWriter& out, const SynthReport& report);
+SynthReport decode_synth_report(ByteReader& in, std::uint16_t version = kPayloadVersion);
 
 }  // namespace psv::core

@@ -60,6 +60,10 @@ std::optional<Digest128> parse_digest_hex(const std::string& hex) {
 
 }  // namespace
 
+Verifier::Verifier(Config config) : config_(std::move(config)) {
+  if (!config_.cache_dir.empty()) store_.emplace(config_.cache_dir);
+}
+
 bool SchemeVerification::all_passed() const {
   for (const RequirementResult& r : requirements)
     if (!r.passed) return false;
@@ -206,8 +210,7 @@ std::size_t Verifier::pooled_sessions() const {
   return pool_.size();
 }
 
-void Verifier::adopt_ancestor_if_any(mc::VerificationSession& session,
-                                     const std::optional<mc::ArtifactStore>& store) {
+void Verifier::adopt_ancestor_if_any(mc::VerificationSession& session) {
   // A session that already holds a store — warm-loaded from its own
   // artifact, or queried before — needs no ancestor: its memo (and its own
   // store) already serve everything an ancestor could.
@@ -218,18 +221,18 @@ void Verifier::adopt_ancestor_if_any(mc::VerificationSession& session,
     std::lock_guard<std::mutex> lock(mu_);
     if (const auto it = ancestors_.find(skeleton); it != ancestors_.end()) ancestor = it->second;
   }
-  if (ancestor == nullptr && store.has_value()) {
+  if (ancestor == nullptr && store_.has_value()) {
     // Disk fallback: the `.psvanc` pointer file names the artifact key of
     // the last session that exported a store for this skeleton. Any failure
     // (missing file, bad contents, evicted artifact) is a silent cold run.
     const std::string pointer_path =
-        (std::filesystem::path(store->dir()) / (skeleton + ".psvanc")).string();
+        (std::filesystem::path(store_->dir()) / (skeleton + ".psvanc")).string();
     std::ifstream pointer(pointer_path);
     std::string key_hex;
     if (pointer.good() && std::getline(pointer, key_hex)) {
       if (const std::optional<Digest128> key = parse_digest_hex(key_hex); key.has_value()) {
         if (std::optional<mc::VerificationArtifact> artifact =
-                store->load(mc::ArtifactKey{*key});
+                store_->load(mc::ArtifactKey{*key});
             artifact.has_value() && artifact->store.has_value() &&
             artifact->skeleton == session.skeleton()) {
           ancestor =
@@ -254,8 +257,7 @@ void Verifier::unpin_ancestor(const std::string& skeleton_hex) {
   if (it != pinned_.end() && --it->second <= 0) pinned_.erase(it);
 }
 
-void Verifier::publish_ancestor(const mc::VerificationSession& session,
-                                const std::optional<mc::ArtifactStore>& store) {
+void Verifier::publish_ancestor(const mc::VerificationSession& session) {
   std::shared_ptr<const mc::PassedStoreExport> exported = session.exported_store();
   if (exported == nullptr) return;
   const std::string skeleton = session.skeleton().hex();
@@ -267,14 +269,14 @@ void Verifier::publish_ancestor(const mc::VerificationSession& session,
     if (pinned_.count(skeleton) != 0 && ancestors_.count(skeleton) != 0) return;
     ancestors_[skeleton] = exported;
   }
-  if (!store.has_value()) return;
+  if (!store_.has_value()) return;
   // Point the skeleton at this session's artifact on disk (temp + rename so
   // concurrent publishers cannot tear the pointer). Best effort: a failed
   // write only costs a future cold start.
   try {
-    std::filesystem::create_directories(store->dir());
+    std::filesystem::create_directories(store_->dir());
     const std::string path =
-        (std::filesystem::path(store->dir()) / (skeleton + ".psvanc")).string();
+        (std::filesystem::path(store_->dir()) / (skeleton + ".psvanc")).string();
     const std::string tmp = path + ".tmp." + std::to_string(std::random_device{}());
     {
       std::ofstream file(tmp, std::ios::trunc);
@@ -299,11 +301,6 @@ VerifyReport Verifier::verify(const VerifyRequest& request) {
   const VerifyOptions& opts = request.options;
   const std::vector<TimingRequirement>& reqs = request.requirements;
 
-  const std::string cache_dir =
-      !opts.cache_dir.empty() ? opts.cache_dir : config_.cache_dir;
-  std::optional<mc::ArtifactStore> store;
-  if (!cache_dir.empty()) store.emplace(cache_dir);
-
   VerifyReport report;
   report.requirements = reqs;
 
@@ -323,15 +320,15 @@ VerifyReport Verifier::verify(const VerifyRequest& request) {
     // Pooled sessions outlive requests: (re)install this request's cancel
     // token — including null, to shed a finished predecessor's.
     slot->session->set_cancel(opts.explore.cancel);
-    if (store && !slot->load_attempted) {
-      slot->session->load(*store);
+    if (store_ && !slot->load_attempted) {
+      slot->session->load(*store_);
       slot->load_attempted = true;
     }
-    adopt_ancestor_if_any(*slot->session, store);
+    adopt_ancestor_if_any(*slot->session);
     pim_batch = verify_pim_requirements_in_session(*slot->session, pim_probes, reqs,
-                                                   opts.search_limit, store.has_value());
-    if (store) slot->session->store(*store);
-    publish_ancestor(*slot->session, store);
+                                                   opts.search_limit, store_.has_value());
+    if (store_) slot->session->store(*store_);
+    publish_ancestor(*slot->session);
   }
   report.pim_stages.push_back(VerifyStageStats{"pim-verification", ms_since(start),
                                                pim_batch.stats, pim_batch.explorations,
@@ -360,11 +357,11 @@ VerifyReport Verifier::verify(const VerifyRequest& request) {
     std::lock_guard<std::mutex> lock(slot->mu);
     mc::VerificationSession& session = *slot->session;
     session.set_cancel(opts.explore.cancel);
-    if (store && !slot->load_attempted) {
-      session.load(*store);
+    if (store_ && !slot->load_attempted) {
+      session.load(*store_);
       slot->load_attempted = true;
     }
-    adopt_ancestor_if_any(session, store);
+    adopt_ancestor_if_any(session);
     sv.stages.push_back(VerifyStageStats{"transform", ms_since(start), {}, 0, {}});
 
     const BoundQueryPlan plan = plan_bound_queries(sv.psm, instrumented.mc_probes, reqs,
@@ -383,7 +380,7 @@ VerifyReport Verifier::verify(const VerifyRequest& request) {
     sv.stages.push_back(VerifyStageStats{
         "constraints", ms_since(start), explore_delta(session.stats().explore, before.explore),
         session.stats().explorations - before.explorations,
-        mc::stage_cache_delta(session, before, store.has_value())});
+        mc::stage_cache_delta(session, before, store_.has_value())});
 
     // [4] Lemma 1 / Lemma 2 / exact bounds for every requirement, as one
     // batched session query (memo hits when [3] primed the sweep).
@@ -402,9 +399,9 @@ VerifyReport Verifier::verify(const VerifyRequest& request) {
     sv.stages.push_back(VerifyStageStats{
         "bounds", ms_since(start), explore_delta(session.stats().explore, before.explore),
         session.stats().explorations - before.explorations,
-        mc::stage_cache_delta(session, before, store.has_value())});
-    if (store) session.store(*store);
-    publish_ancestor(session, store);
+        mc::stage_cache_delta(session, before, store_.has_value())});
+    if (store_) session.store(*store_);
+    publish_ancestor(session);
 
     // [5] P(delta) and P(delta') per requirement follow from the exact
     // verified maxima — no further exploration.

@@ -22,7 +22,8 @@
 // Sessions are pooled inside the Verifier (keyed on the canonical network
 // fingerprint + result-affecting options, LRU-capped), so repeated or
 // overlapping requests are answered from warm sessions; with a cache
-// directory the pool is additionally backed by the persistent artifact
+// directory (Verifier::Config::cache_dir — a property of the service, never
+// of a request) the pool is additionally backed by the persistent artifact
 // store of mc/artifact.h.
 //
 // Thread-safety: verify() may be called concurrently from any number of
@@ -71,12 +72,6 @@ struct VerifyOptions {
   /// retention — bounds and verdicts are unchanged, slack reports just
   /// carry no traces.
   int top_k = mc::kDefaultTopK;
-  /// Persistent verification-artifact cache directory; empty = disabled
-  /// (falls back to the Verifier's configured default). Stages key their
-  /// artifacts on the canonical fingerprint of the network they explore
-  /// (instrumented PIM for stage 1, instrumented PSM for 3–5), so a scheme
-  /// edit only invalidates the downstream stages.
-  std::string cache_dir;
 };
 
 /// Machine-readable accounting of one pipeline stage, for bench trend
@@ -155,8 +150,10 @@ struct VerifyReport {
 class Verifier {
  public:
   struct Config {
-    /// Default artifact-cache directory applied to requests that do not set
-    /// options.cache_dir; empty = no default.
+    /// Persistent verification-artifact cache directory; empty = disabled.
+    /// Stages key their artifacts on the canonical fingerprint of the
+    /// network they explore (instrumented PIM for stage 1, instrumented PSM
+    /// for 3–5), so a scheme edit only invalidates the downstream stages.
     std::string cache_dir;
     /// LRU cap on pooled warm sessions (each owns a network copy and its
     /// answered-query memo). 0 disables pooling entirely.
@@ -164,7 +161,7 @@ class Verifier {
   };
 
   Verifier() = default;
-  explicit Verifier(Config config) : config_(std::move(config)) {}
+  explicit Verifier(Config config);
 
   Verifier(const Verifier&) = delete;
   Verifier& operator=(const Verifier&) = delete;
@@ -211,17 +208,17 @@ class Verifier {
   /// or recorded on disk by a `<skeleton-hex>.psvanc` pointer file next to
   /// the artifacts. No-op when the session already has a store of its own
   /// (warm-loaded or previously queried).
-  void adopt_ancestor_if_any(mc::VerificationSession& session,
-                             const std::optional<mc::ArtifactStore>& store);
+  void adopt_ancestor_if_any(mc::VerificationSession& session);
 
   /// Publish `session`'s exported passed store as the warm-start ancestor
   /// for its skeleton: into the in-memory index, and (when a cache directory
   /// is active) as a `<skeleton-hex>.psvanc` pointer to the session's
   /// artifact key so later processes find it too.
-  void publish_ancestor(const mc::VerificationSession& session,
-                        const std::optional<mc::ArtifactStore>& store);
+  void publish_ancestor(const mc::VerificationSession& session);
 
   Config config_;
+  /// The artifact cache of config_.cache_dir; empty when caching is off.
+  std::optional<mc::ArtifactStore> store_;
   mutable std::mutex mu_;  ///< guards pool_, lru_ and ancestors_
   std::unordered_map<std::string, std::shared_ptr<Slot>> pool_;
   std::list<std::string> lru_;  ///< most recently used at the back

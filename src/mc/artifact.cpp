@@ -127,17 +127,10 @@ ArtifactKey artifact_key(const ta::NetworkFingerprint& fp, const ExploreOptions&
   h.str("psv-artifact-key");
   h.u32(kArtifactFormatVersion);
   h.u64(fp.digest.hi).u64(fp.digest.lo);
-  // Only the knobs that can change results: the state cap can turn a run
-  // into an error, and the engine changes witnesses/statistics (bounds are
-  // engine-identical, everything served must be bit-identical to a cold
-  // run). jobs is excluded — exploration is deterministic across thread
-  // counts by construction.
+  // Only the knob that can change results: the state cap can turn a run
+  // into an error. jobs is excluded — exploration is deterministic across
+  // thread counts by construction.
   h.u64(opts.max_states);
-  h.u8(static_cast<std::uint8_t>(opts.engine));
-  // goal_pruning keeps bounds and verdicts identical but changes the served
-  // statistics (pruned sweeps explore fewer states), so cached results from
-  // the two modes must not alias.
-  h.u8(opts.goal_pruning ? 1 : 0);
   return ArtifactKey{h.digest()};
 }
 

@@ -7,8 +7,8 @@
 //
 //   { canonical network fingerprint (ta::fingerprint — probe instrumentation
 //     is part of the network, so the probe set is part of the key),
-//     the ExploreOptions knobs that can affect results (max_states, engine;
-//     jobs is excluded — exploration is deterministic across thread counts),
+//     the ExploreOptions knob that can affect results (max_states; jobs is
+//     excluded — exploration is deterministic across thread counts),
 //     the artifact format version }.
 //
 // A warm session therefore answers the whole §V query load of an unchanged
@@ -46,8 +46,10 @@ namespace psv::mc {
 /// the exported passed store for warm-starting skeleton-equal successors,
 /// and warm-start counters in every ExploreStats block. Version-3 files
 /// lack all of these and are rejected by the version check — a warned miss
-/// followed by re-exploration.
-inline constexpr std::uint32_t kArtifactFormatVersion = 4;
+/// followed by re-exploration. Version 5: the key drops the bound-engine and
+/// goal-pruning bytes, and passed-store entries no longer carry rendered
+/// transition labels (traces render them from the edges on demand).
+inline constexpr std::uint32_t kArtifactFormatVersion = 5;
 
 /// Content-addressed cache key; hex() names the artifact file.
 struct ArtifactKey {

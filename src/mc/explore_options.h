@@ -9,18 +9,6 @@
 
 namespace psv::mc {
 
-/// Engine answering maximum-clock-value queries (the paper's delay bounds).
-///
-///   * kSweep — explore the state space ONCE and read, per symbolic state
-///     satisfying the predicate, the DBM upper bound of the probe clock;
-///     a widen-and-refine loop re-explores with doubled extrapolation
-///     constants whenever the running maximum escapes the current constant.
-///     One exploration typically answers a whole batch of queries.
-///   * kProbe — the original gallop + binary search of independent
-///     reachability probes (pred && clock > D); retained as a cross-check
-///     engine. Both engines produce bit-identical bounds.
-enum class QueryEngine { kSweep, kProbe };
-
 /// Exploration limits and knobs.
 struct ExploreOptions {
   /// Hard cap on stored symbolic states; exceeded -> psv::Error. Parallel
@@ -34,21 +22,6 @@ struct ExploreOptions {
   /// construction, so results are identical for every value; only wall
   /// clock changes.
   unsigned jobs = 0;
-
-  /// Bound-query engine. Sweep answers from one shared exploration; probe
-  /// is the legacy binary-search cross-check. Bounds are identical.
-  QueryEngine engine = QueryEngine::kSweep;
-
-  /// Goal-directed pruning for bound-only sweeps: once every pending query
-  /// of a sweep round has witnessed an abstracted (infinite) probe-clock
-  /// bound, no further state can change the round's outcome — the round is
-  /// either inconclusive (the refine loop widens and re-runs) or unbounded
-  /// at the search limit (one witness suffices), so the sweep aborts early.
-  /// Sound only for bound sweeps; flag/deadlock passes must visit the full
-  /// space and ignore the flag. Results are identical with or without
-  /// pruning — only statistics (work) change, so the flag is part of the
-  /// artifact cache key.
-  bool goal_pruning = false;
 
   /// Cooperative cancellation. When set and flipped to true, explorations
   /// abandon at the next wave barrier by throwing ErrorCode::kCancelled;

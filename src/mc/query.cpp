@@ -27,18 +27,7 @@ void validate_query(const ta::Network& net, ta::ClockId clock, std::int64_t limi
 /// Effective ranked-witness retention depth of a query.
 int clamped_top_k(const BoundQuery& q) { return std::clamp(q.top_k, 0, kMaxTopK); }
 
-/// Extra extrapolation constants of one probe run (pred && clock > d): what
-/// a replayer must feed SuccGen to reproduce the probe's states bit-exactly.
-std::vector<std::int32_t> probe_consts(const ta::Network& net, const StateFormula& pred,
-                                       ta::ClockId clock, std::int64_t d) {
-  StateFormula violated = pred;
-  violated.and_clock(ta::cc_gt(clock, static_cast<std::int32_t>(d)));
-  return formula_clock_constants(net, violated);
-}
-
-// --- Probe engine (gallop + binary search over reachability checks) ---------
-
-/// One probe: is (pred && clock > d) reachable?
+/// One reachability check: is (pred && clock > d) reachable?
 ReachResult probe(const ta::Network& net, const StateFormula& pred, ta::ClockId clock,
                   std::int64_t d, ExploreOptions opts) {
   PSV_REQUIRE_AS(::psv::ErrorCode::kVerify, d <= dbm::kMaxBoundValue, "clock bound exceeds representable range");
@@ -47,145 +36,10 @@ ReachResult probe(const ta::Network& net, const StateFormula& pred, ta::ClockId 
   return reachable(net, violated, opts);
 }
 
-/// Thresholds probed speculatively per gallop round when threads are
-/// available. Only the prefix up to the first unreachable threshold is ever
-/// accounted (the legacy sequential gallop's exact work), so statistics,
-/// probe counts, and surfaced errors stay bit-identical at every `jobs`
-/// setting — speculation costs idle cores, never determinism.
-constexpr std::size_t kGallopBatch = 4;
-
-MaxClockResult probe_max_clock_value(const ta::Network& net, const StateFormula& pred,
-                                     ta::ClockId clock, std::int64_t limit, ExploreOptions opts,
-                                     std::int64_t hint, int top_k) {
-  MaxClockResult result;
-
-  // Is the condition reachable at all?
-  ReachResult any = reachable(net, pred, opts);
-  accumulate_stats(result.stats, any.stats);
-  ++result.probes;
-  if (!any.reachable) {
-    result.bounded = true;
-    result.bound = 0;
-    result.condition_unreachable = true;
-    return result;
-  }
-
-  // Gallop geometrically from the hint to bracket the bound. Probing at
-  // small thresholds first keeps each probe's extrapolation constants (and
-  // so its state space) near the true bound instead of the search limit.
-  // The hint is probed alone (it usually brackets the answer already);
-  // afterwards rounds of doubled thresholds run as parallel speculative
-  // batches, splitting the exploration thread budget across the probes.
-  std::int64_t lo = 0;   // highest threshold known reachable, +1
-  std::int64_t hi = -1;  // lowest threshold known unreachable
-  Trace witness;
-  std::int64_t witness_d = -1;  // threshold of the probe that found `witness`
-  const std::int64_t d0 = std::max<std::int64_t>(1, std::min(hint, limit));
-  ReachResult first = probe(net, pred, clock, d0, opts);
-  accumulate_stats(result.stats, first.stats);
-  ++result.probes;
-  if (!first.reachable) {
-    hi = d0;
-  } else {
-    witness = std::move(first.trace);
-    witness_d = d0;
-    lo = d0 + 1;
-    if (d0 >= limit) {
-      result.bounded = false;
-      result.witness_consts = probe_consts(net, pred, clock, witness_d);
-      result.witness = std::move(witness);
-      return result;
-    }
-    std::int64_t base = d0;
-    while (hi < 0) {
-      std::vector<std::int64_t> thresholds;
-      for (std::int64_t t = base; thresholds.size() < kGallopBatch && t < limit;)
-        thresholds.push_back(t = std::min(limit, t * 2));
-      std::vector<std::optional<ReachResult>> probed(thresholds.size());
-      std::vector<std::exception_ptr> errors(thresholds.size());
-      if (resolve_jobs(opts.jobs) <= 1 || thresholds.size() == 1) {
-        // Sequential: run in threshold order, stop at the first
-        // unreachable one — exactly the legacy gallop, no wasted probes.
-        for (std::size_t i = 0; i < thresholds.size(); ++i) {
-          try {
-            probed[i].emplace(probe(net, pred, clock, thresholds[i], opts));
-          } catch (...) {
-            errors[i] = std::current_exception();
-            break;
-          }
-          if (!probed[i]->reachable) break;
-        }
-      } else {
-        const ExploreOptions per_probe = split_jobs(opts, thresholds.size());
-        WorkerPool pool(static_cast<unsigned>(thresholds.size()) - 1);
-        pool.parallel_for(thresholds.size(), [&](std::size_t i) {
-          try {
-            probed[i].emplace(probe(net, pred, clock, thresholds[i], per_probe));
-          } catch (...) {
-            errors[i] = std::current_exception();
-          }
-        });
-      }
-      // Account exactly the probes the sequential gallop runs: scan in
-      // threshold order and stop after the first unreachable one; parallel
-      // speculation past it is discarded unaccounted.
-      bool bracketed = false;
-      for (std::size_t i = 0; i < thresholds.size() && !bracketed; ++i) {
-        if (errors[i]) std::rethrow_exception(errors[i]);
-        accumulate_stats(result.stats, probed[i]->stats);
-        ++result.probes;
-        if (probed[i]->reachable) {
-          witness = std::move(probed[i]->trace);
-          witness_d = thresholds[i];
-          lo = thresholds[i] + 1;
-          if (thresholds[i] >= limit) {
-            result.bounded = false;
-            result.witness_consts = probe_consts(net, pred, clock, witness_d);
-            result.witness = std::move(witness);
-            return result;
-          }
-        } else {
-          hi = thresholds[i];
-          bracketed = true;
-        }
-      }
-      if (!bracketed) base = thresholds.back();
-    }
-  }
-
-  // Binary search the least D in [lo, hi] with (pred && clock > D)
-  // unreachable.
-  while (lo < hi) {
-    const std::int64_t mid = lo + (hi - lo) / 2;
-    ReachResult r = probe(net, pred, clock, mid, opts);
-    accumulate_stats(result.stats, r.stats);
-    ++result.probes;
-    if (r.reachable) {
-      witness = std::move(r.trace);
-      witness_d = mid;
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  result.bounded = true;
-  result.bound = lo;
-  if (!witness.steps.empty()) {
-    // The winning witness always comes from threshold bound - 1 (the last
-    // reachable probe is the one that pushed `lo` to its final value).
-    result.witness_consts = probe_consts(net, pred, clock, witness_d);
-    if (top_k > 0) result.ranked.push_back({result.bound, witness});
-  }
-  result.witness = std::move(witness);
-  return result;
-}
-
-// --- Sweep engine (single exploration, widen-and-refine) --------------------
-
 /// Refine-loop widening factors tried speculatively (in parallel when
 /// threads are available). Conclusive candidates agree (each is exact), so
 /// only the candidate-order prefix that settles every target is accounted
-/// — like the gallop, speculation never changes results or statistics.
+/// — speculation never changes results or statistics.
 constexpr std::int64_t kWidenFactors[] = {4, 16, 64};
 
 /// Per-query bookkeeping of the sweep driver.
@@ -314,21 +168,7 @@ SweepRound sweep_once(const ta::Network& net, const std::vector<BoundQuery>& que
     }
   };
   if (flags == nullptr) {
-    // Goal-directed pruning (opt-in): a bounds-only sweep whose every
-    // pending target has already witnessed an abstracted (infinite)
-    // probe-clock bound cannot change any answer — every target is either
-    // unbounded-at-limit (one witness suffices) or must refine at wider
-    // constants regardless of further states. Abort between waves. Off for
-    // flag/deadlock piggyback sweeps, whose visitors need the full space.
-    std::function<bool()> stop;
-    if (opts.goal_pruning) {
-      stop = [&round]() {
-        for (const SweepOutcome& o : round.outcomes)
-          if (!o.saw_inf) return false;
-        return true;
-      };
-    }
-    round.stats = engine.explore_all_ids(visit, stop);
+    round.stats = engine.explore_all_ids(visit);
   } else {
     flags->var_seen_one.assign(static_cast<std::size_t>(net.num_vars()), 0);
     DeadlockResult deadlock =
@@ -391,13 +231,15 @@ bool resolve_target(const BoundQuery& q, SweepRound& round, std::size_t t, MaxCl
   return false;
 }
 
-std::vector<MaxClockResult> sweep_max_clock_values(const ta::Network& net,
-                                                   const std::vector<BoundQuery>& queries,
-                                                   ExploreOptions opts,
-                                                   BatchQueryStats* batch_stats,
-                                                   FlagSweepOutcome* flags, WarmContext* warm) {
+}  // namespace
+
+std::vector<MaxClockResult> max_clock_values(const ta::Network& net,
+                                             const std::vector<BoundQuery>& queries,
+                                             ExploreOptions opts, BatchQueryStats* batch_stats,
+                                             FlagSweepOutcome* flags, WarmContext* warm) {
+  for (const BoundQuery& q : queries) validate_query(net, q.clock, q.limit);
   const PassedStoreExport* ancestor = warm != nullptr ? warm->ancestor : nullptr;
-  const bool capture = warm != nullptr && warm->capture;
+  const bool capture = warm != nullptr;
   std::vector<MaxClockResult> results(queries.size());
   std::vector<SweepTarget> targets;
   targets.reserve(queries.size());
@@ -539,33 +381,6 @@ std::vector<MaxClockResult> sweep_max_clock_values(const ta::Network& net,
     targets.swap(unresolved);
   }
   return results;
-}
-
-}  // namespace
-
-std::vector<MaxClockResult> max_clock_values(const ta::Network& net,
-                                             const std::vector<BoundQuery>& queries,
-                                             ExploreOptions opts, BatchQueryStats* batch_stats,
-                                             FlagSweepOutcome* flags, WarmContext* warm) {
-  for (const BoundQuery& q : queries) validate_query(net, q.clock, q.limit);
-  if (opts.engine == QueryEngine::kProbe) {
-    // Probe explorations are goal-directed (early exit on reachability), so
-    // no full-space sweep exists to piggyback on: flags->ran stays false and
-    // the caller runs a dedicated flag sweep.
-    std::vector<MaxClockResult> results;
-    results.reserve(queries.size());
-    for (const BoundQuery& q : queries) {
-      results.push_back(probe_max_clock_value(net, q.pred, q.clock, q.limit, opts, q.hint,
-                                              clamped_top_k(q)));
-      if (batch_stats) {
-        // Probe queries run independently: the batch total is the sum.
-        accumulate_stats(batch_stats->explore, results.back().stats);
-        batch_stats->explorations += results.back().probes;
-      }
-    }
-    return results;
-  }
-  return sweep_max_clock_values(net, queries, opts, batch_stats, flags, warm);
 }
 
 MaxClockResult max_clock_value(const ta::Network& net, const StateFormula& pred,

@@ -6,20 +6,18 @@
 //                         condition holds (M-C delay, Input-Delay, ...)
 //   * deadlock freedom  — sanity of constructed PSMs
 //
-// Bounded response is answered by one of two engines (ExploreOptions::
-// engine), both exact and bit-identical in their bounds:
-//   * sweep (default) — explore the state space ONCE and track, per
-//     symbolic state satisfying pred, the DBM upper bound of the probe
-//     clock. A finite upper bound below the extrapolation constant is
-//     exact; an abstracted (infinite) one triggers a widen-and-refine
-//     re-exploration with larger constants. A whole batch of queries is
-//     answered from the same exploration, and the same pass retains the
-//     top-K ranked extremal witness traces per query (BoundQuery::top_k)
-//     at no extra exploration cost — the slack/critical-path analysis
-//     layer (core/analysis.h) is built on these.
-//   * probe — binary search over safety checks: max{ t(clock) | pred } <= D
-//     iff the state (pred && clock > D) is unreachable. Each check extends
-//     the extrapolation constants with D, so the search is exact.
+// Maximum clock values are answered by the sweep engine: explore the state
+// space ONCE and track, per symbolic state satisfying pred, the DBM upper
+// bound of the probe clock. A finite upper bound below the extrapolation
+// constant is exact; an abstracted (infinite) one triggers a
+// widen-and-refine re-exploration with larger constants. A whole batch of
+// queries is answered from the same exploration, and the same pass retains
+// the top-K ranked extremal witness traces per query (BoundQuery::top_k) at
+// no extra exploration cost — the slack/critical-path analysis layer
+// (core/analysis.h) is built on these. An independent reference oracle
+// (gallop + binary search over reachability checks) lives with the tests
+// (tests/support/probe_oracle.h), which hold the sweep to bit-identical
+// bounds against it.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +47,8 @@ struct MaxClockResult {
   bool bounded = false;
   /// The least D such that A[](pred => clock <= D); valid when bounded.
   std::int64_t bound = 0;
-  /// A witness trace reaching clock == bound (probe mode: the last failing
-  /// check; sweep mode: the stored state attaining the maximum), empty when
-  /// the condition itself is unreachable.
+  /// A witness trace reaching clock == bound (the first stored state
+  /// attaining the maximum), empty when the condition itself is unreachable.
   Trace witness;
   /// True when no state satisfying `pred` is reachable at all (bound = 0).
   bool condition_unreachable = false;
@@ -59,10 +56,9 @@ struct MaxClockResult {
   /// (probe-clock value descending; ties keep exploration order, so the
   /// ranking is bit-identical at every `jobs` count). When bounded and the
   /// condition is reachable, ranked.front() is the maximum: its value equals
-  /// `bound` and its trace renders the same states as `witness`. The probe
-  /// engine's goal-directed searches only ever see the maximum, so it
-  /// retains a single entry. Empty when top_k == 0, when the condition is
-  /// unreachable, or when the value is unbounded.
+  /// `bound` and its trace renders the same states as `witness`. Empty when
+  /// top_k == 0, when the condition is unreachable, or when the value is
+  /// unbounded.
   std::vector<RankedWitness> ranked;
   /// Extra extrapolation constants (one entry per network clock, -1 = none)
   /// in effect for the exploration that materialized `witness` and `ranked`.
@@ -74,15 +70,14 @@ struct MaxClockResult {
   /// Batched sweep queries share explorations, so summing stats across a
   /// batch counts the shared work once per query.
   ExploreStats stats;
-  /// Number of reachability explorations performed for this query
-  /// (binary-search probes in probe mode, full sweeps in sweep mode).
+  /// Number of full-space sweeps performed for this query.
   int probes = 0;
 };
 
 /// One maximum-clock query of a batch: the paper's delay measurements reset
 /// `clock` at the triggering event and read it while `pred` holds. `hint`
-/// seeds the search (sweep: the first widening candidate; probe: the gallop
-/// start); `limit` caps it — values above report bounded = false.
+/// seeds the search (the first widening candidate); `limit` caps it — values
+/// above report bounded = false.
 struct BoundQuery {
   StateFormula pred;
   ta::ClockId clock = -1;
@@ -110,9 +105,8 @@ struct BatchQueryStats {
 /// same exploration records which variables ever reach value 1 (the C1–C4
 /// sticky flags are a subset) and runs the deadlock/timelock search.
 struct FlagSweepOutcome {
-  /// True when a combined exploration ran (sweep engine with fresh queries);
-  /// false under the probe engine — the caller falls back to a dedicated
-  /// flag sweep.
+  /// True when a combined exploration ran (set by every batch that explores;
+  /// stays false when the caller never passed it to one).
   bool ran = false;
   /// False when a timelock aborted the shared sweep before the full space
   /// was visited: `deadlock` is definitive but `var_seen_one` is not (same
@@ -124,28 +118,24 @@ struct FlagSweepOutcome {
   DeadlockResult deadlock;
 };
 
-/// Incremental-exploration hookup of a query batch (sweep engine only; the
-/// probe engine's explorations are goal-directed, so there is no full
-/// passed store to warm from or export). `ancestor` warm-starts every sweep
-/// of the batch from a store persisted by a skeleton-equal network (falls
-/// back to cold silently on any mismatch); `capture` exports the passed
-/// store of the last accounted COMPLETE sweep into `exported` — the store a
-/// later structurally-related verification warm-starts from. Bounds,
-/// verdicts and the maximum witness value are bit-identical with and
+/// Incremental-exploration hookup of a query batch. `ancestor` warm-starts
+/// every sweep of the batch from a store persisted by a skeleton-equal
+/// network (falls back to cold silently on any mismatch); the passed store
+/// of the last accounted COMPLETE sweep is exported into `exported` — the
+/// store a later structurally-related verification warm-starts from.
+/// Bounds, verdicts and the maximum witness value are bit-identical with and
 /// without an ancestor; witness TRACES and sub-maximal ranked entries may
 /// legitimately differ (warm and cold runs store different — equally valid
 /// — covering families of the same reachable space).
 struct WarmContext {
   const PassedStoreExport* ancestor = nullptr;  ///< must outlive the call
-  bool capture = false;
   std::optional<PassedStoreExport> exported;  ///< out: empty when nothing completed
 };
 
-/// Answer a batch of maximum-clock queries. The sweep engine (default)
-/// shares each full-space exploration across the whole batch — one sweep
-/// typically answers every query — and runs the refine-loop candidates in
-/// parallel; the probe engine answers the queries independently. Results
-/// are index-aligned with `queries` and identical for both engines.
+/// Answer a batch of maximum-clock queries. Each full-space exploration is
+/// shared across the whole batch — one sweep typically answers every query
+/// — and the refine-loop candidates run in parallel. Results are
+/// index-aligned with `queries`.
 /// `batch_stats`, when given, receives the batch's total work. `flags`,
 /// when given, requests the combined flag/deadlock sweep described above.
 /// `warm`, when given, enables the incremental-exploration hookup above.
@@ -162,10 +152,10 @@ std::vector<MaxClockResult> max_clock_values(const ta::Network& net,
 ///
 /// `limit` caps the search; values above it report bounded = false.
 ///
-/// `hint` seeds the search (e.g. an analytic bound): the query gallops
-/// geometrically from the hint before binary-searching, which keeps the
-/// extrapolation constants (and hence the explored state space) close to
-/// the true bound instead of the limit.
+/// `hint` seeds the search (e.g. an analytic bound): the first sweep uses it
+/// as the widening candidate, which keeps the extrapolation constants (and
+/// hence the explored state space) close to the true bound instead of the
+/// limit.
 MaxClockResult max_clock_value(const ta::Network& net, const StateFormula& pred,
                                ta::ClockId clock, std::int64_t limit = 1'000'000,
                                ExploreOptions opts = {}, std::int64_t hint = 1024);

@@ -107,8 +107,8 @@ std::optional<std::uint64_t> Reachability::insert(GenSucc&& gs, std::uint64_t pa
               "state-space exploration exceeded the configured limit of " +
                   std::to_string(opts_.max_states) + " states");
   const std::size_t local = shard.arena.size();
-  shard.arena.push_back(Stored{std::move(state), parent, std::move(gs.label), std::move(gs.edges),
-                               std::move(gs.pre_zone), gs.pre_differs});
+  shard.arena.push_back(
+      Stored{std::move(state), parent, std::move(gs.edges), std::move(gs.pre_zone), gs.pre_differs});
   bucket.push_back(static_cast<std::uint32_t>(local));
   total_stored_.fetch_add(1, std::memory_order_relaxed);
   return pack_id(shard_index, local);
@@ -151,9 +151,8 @@ void Reachability::generate_wave(bool compute_goal, bool compute_blocked) {
       gs.hash = succ.state.discrete_hash();
       gs.is_goal = compute_goal && satisfies(net_, succ.state, goal_);
       gs.state = std::move(succ.state);
-      gs.label = std::move(succ.label);
+      gs.edges = std::move(succ.edges);
       if (capture_) {
-        gs.edges = std::move(succ.edges);
         gs.pre_zone = std::move(succ.pre_zone);
         gs.pre_differs = succ.pre_differs;
       }
@@ -241,7 +240,7 @@ Trace Reachability::build_trace(std::uint64_t id) const {
   Trace trace;
   for (std::uint64_t link : chain) {
     const Stored& entry = stored(link);
-    trace.steps.push_back(TraceStep{entry.label, entry.state.to_string(net_)});
+    trace.steps.push_back(TraceStep{gen_.label(entry.edges), entry.state.to_string(net_)});
   }
   return trace;
 }
@@ -407,28 +406,21 @@ ExploreStats Reachability::explore_all(const std::function<void(const SymState&)
 }
 
 ExploreStats Reachability::explore_all_ids(
-    const std::function<void(const SymState&, std::uint64_t)>& visit,
-    const std::function<bool()>& stop) {
+    const std::function<void(const SymState&, std::uint64_t)>& visit) {
   const bool warm = ancestor_ != nullptr && seed_from_store(visit, /*deadlock_mode=*/false);
   if (!warm) seed_initial();
   // A warm start already visited every live seed during the import; the
   // first loop iteration must not visit them again.
   bool skip_visit = warm;
   bool first_warm_wave = warm;
-  bool aborted = false;
   while (!frontier_.empty()) {
     // Visiting before generating is behavior-identical to the historical
-    // generate-then-visit order (visits depend only on the frontier), and
-    // it lets the stop predicate fire before the expensive wave.
+    // generate-then-visit order (visits depend only on the frontier).
     if (visit && !skip_visit) {
       for (const std::uint64_t id : frontier_) visit(stored(id).state, id);
     }
     skip_visit = false;
     check_cancel(opts_);
-    if (stop && stop()) {
-      aborted = true;
-      break;
-    }
     if (first_warm_wave) {
       stats_.warm_seed_expansions += frontier_.size();
       first_warm_wave = false;
@@ -436,7 +428,7 @@ ExploreStats Reachability::explore_all_ids(
     generate_wave(/*compute_goal=*/false, /*compute_blocked=*/false);
     insert_wave();
   }
-  if (capture_ && !aborted) export_ = build_export();
+  if (capture_) export_ = build_export();
   return snapshot_stats();
 }
 
@@ -690,8 +682,8 @@ bool Reachability::seed_from_store(
     const std::size_t local = shard.arena.size();
     const std::uint64_t parent_id =
         i == 0 ? kNoParent : packed[static_cast<std::size_t>(entry.parent)];
-    shard.arena.push_back(Stored{std::move(state), parent_id, std::string(entry.label),
-                                 entry.edges, std::move(pre), pre_differs});
+    shard.arena.push_back(Stored{std::move(state), parent_id, entry.edges, std::move(pre),
+                                 pre_differs});
     if (!subsumed) bucket.push_back(static_cast<std::uint32_t>(local));
     total_stored_.fetch_add(1, std::memory_order_relaxed);
     packed[i] = pack_id(shard_index, local);
@@ -764,7 +756,6 @@ PassedStoreExport Reachability::build_export() const {
     const Stored& s = stored(id);
     StoreEntry entry;
     entry.parent = s.parent == kNoParent ? kNoStoreParent : ordinal_of.at(s.parent);
-    entry.label = s.label;
     entry.edges = s.edges;
     entry.locs = s.state.locs;
     entry.vars = s.state.vars;

@@ -99,13 +99,8 @@ class Reachability {
   /// explore_all variant whose visitor also receives the packed store id of
   /// each state, usable with trace_of() to rebuild a witness afterwards
   /// (the sweep bound engine records the id of the state attaining the
-  /// maximum). Same determinism guarantees as explore_all. The optional
-  /// `stop` predicate is evaluated between waves (after the wave's visits,
-  /// before generating successors); returning true aborts the exploration
-  /// — the goal-directed pruning hook for sweeps whose remaining queries
-  /// are already saturated. Aborted runs never export a store.
-  ExploreStats explore_all_ids(const std::function<void(const SymState&, std::uint64_t)>& visit,
-                               const std::function<bool()>& stop = nullptr);
+  /// maximum). Same determinism guarantees as explore_all.
+  ExploreStats explore_all_ids(const std::function<void(const SymState&, std::uint64_t)>& visit);
 
   /// Diagnostic trace from the initial state to a stored state, by the id
   /// handed to an explore_all_ids visitor. Valid until the engine dies.
@@ -132,10 +127,10 @@ class Reachability {
   DeadlockResult find_deadlock_ids(
       const std::function<void(const SymState&, std::uint64_t)>& visit);
 
-  /// Record everything a passed-store export needs (participating edges,
-  /// pre-extrapolation zones, deterministic insertion order, subsumption
-  /// covers) during the next exploration. Must be called before any run;
-  /// adds memory per stored state but no algorithmic cost.
+  /// Record everything a passed-store export needs beyond the always-kept
+  /// participating edges (pre-extrapolation zones, deterministic insertion
+  /// order, subsumption covers) during the next exploration. Must be called
+  /// before any run; adds memory per stored state but no algorithmic cost.
   void enable_capture();
 
   /// Warm-start the next exploration from an ancestor store produced by a
@@ -148,7 +143,7 @@ class Reachability {
 
   /// The store exported by the last COMPLETE capture-mode
   /// explore_all_ids / find_deadlock_ids run; empty when capture was off or
-  /// the run aborted early (timelock, stop predicate).
+  /// the run aborted early (timelock).
   std::optional<PassedStoreExport> take_export() { return std::move(export_); }
 
  private:
@@ -162,10 +157,9 @@ class Reachability {
 
   struct Stored {
     SymState state;
-    std::uint64_t parent;  ///< packed id, kNoParent for initial
-    std::string label;     ///< edge label leading here
-    // Capture-mode extras (empty/default when capture is off).
-    std::vector<EdgeRef> edges;  ///< participating edges, firing order
+    std::uint64_t parent;        ///< packed id, kNoParent for initial
+    std::vector<EdgeRef> edges;  ///< participating edges leading here, firing order
+    // Capture-mode extras (default when capture is off).
     dbm::Dbm pre_zone{0};        ///< pre-extrapolation zone when pre_differs
     bool pre_differs = false;
   };
@@ -201,11 +195,10 @@ class Reachability {
   /// precomputed (hash, goal flag) so insertion stays pure bookkeeping.
   struct GenSucc {
     SymState state;
-    std::string label;
     std::size_t hash = 0;
     bool is_goal = false;
-    // Capture-mode extras, forwarded from SymSuccessor into the store.
     std::vector<EdgeRef> edges;
+    // Capture-mode extras, forwarded from SymSuccessor into the store.
     dbm::Dbm pre_zone{0};
     bool pre_differs = false;
   };

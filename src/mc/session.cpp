@@ -52,10 +52,6 @@ std::vector<MaxClockResult> VerificationSession::answer_bounds(
     BatchQueryStats batch;
     WarmContext warm;
     warm.ancestor = ancestor_ ? ancestor_.get() : nullptr;
-    // Capture under the sweep engine so the batch's passed store becomes
-    // this session's export (probe explorations are goal-directed — there
-    // is no full store to capture).
-    warm.capture = opts_.engine == QueryEngine::kSweep;
     std::vector<MaxClockResult> answers =
         mc::max_clock_values(net_, fresh, opts_, &batch, flags, &warm);
     if (warm.exported.has_value())
@@ -87,12 +83,10 @@ std::vector<RankedWitness> VerificationSession::top_traces(const BoundQuery& que
 VerificationSession::BatchReport VerificationSession::verify_batch(
     const std::vector<BoundQuery>& queries, const std::vector<ta::VarId>& flags) {
   BatchReport report;
-  // A combined exploration pays off only when BOTH parts need fresh work
-  // under the sweep engine; everything else routes through the individual
-  // paths (whose memos keep the answers identical either way).
-  const bool want_combined =
-      !flags.empty() && !flag_sweep_done_ && opts_.engine == QueryEngine::kSweep;
-  if (!want_combined) {
+  // A combined exploration pays off only when BOTH parts need fresh work;
+  // everything else routes through the individual paths (whose memos keep
+  // the answers identical either way).
+  if (flags.empty() || flag_sweep_done_) {
     report.bounds = max_clock_values(queries);
     if (!flags.empty()) report.flags = check_flags(flags);
     return report;

@@ -76,9 +76,9 @@ class VerificationSession {
     opts_.cancel = std::move(cancel);
   }
 
-  /// Answer a batch of maximum-clock queries from shared explorations
-  /// (engine per options().engine). Results are index-aligned with
-  /// `queries`; repeated queries are served from the session cache.
+  /// Answer a batch of maximum-clock queries from shared explorations.
+  /// Results are index-aligned with `queries`; repeated queries are served
+  /// from the session cache.
   std::vector<MaxClockResult> max_clock_values(const std::vector<BoundQuery>& queries);
 
   /// Single-query convenience; identical answers to the batched form.
@@ -110,14 +110,12 @@ class VerificationSession {
   /// Answer a whole verification batch — every bound query plus the C1–C4
   /// flag/deadlock sweep — from ONE combined full-space exploration (plus
   /// rare widen-and-refine rounds for escaped bounds). This is the batch
-  /// planner's workhorse: under the sweep engine, fresh bound queries and a
-  /// fresh flag sweep share their round-0 exploration instead of running
-  /// one exploration each; memoized parts (a warm-loaded session, repeated
-  /// queries) are served from the memo exactly like the individual calls.
-  /// Under the probe engine the parts run separately (probe explorations
-  /// are goal-directed; there is no shared sweep to combine). Results are
-  /// identical to calling max_clock_values() and check_flags() back to
-  /// back — only the exploration count changes.
+  /// planner's workhorse: fresh bound queries and a fresh flag sweep share
+  /// their round-0 exploration instead of running one exploration each;
+  /// memoized parts (a warm-loaded session, repeated queries) are served
+  /// from the memo exactly like the individual calls. Results are identical
+  /// to calling max_clock_values() and check_flags() back to back — only
+  /// the exploration count changes.
   struct BatchReport {
     std::vector<MaxClockResult> bounds;  ///< index-aligned with `queries`
     FlagReport flags;                    ///< empty when no flags were asked
@@ -149,8 +147,7 @@ class VerificationSession {
 
   /// The passed store this session can hand to a skeleton-equal successor:
   /// the export of its last complete capture sweep, or the store a warm
-  /// load() brought in. Null when neither exists (probe engine, or no
-  /// complete sweep yet).
+  /// load() brought in. Null when neither exists (no complete sweep yet).
   std::shared_ptr<const PassedStoreExport> exported_store() const { return exported_; }
 
   /// ta::skeleton_digest of the session network: the structural key under

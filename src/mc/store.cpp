@@ -6,7 +6,8 @@ namespace psv::mc {
 
 namespace {
 
-constexpr std::uint32_t kStorePayloadVersion = 1;
+/// Version 2: entries no longer carry a rendered transition label.
+constexpr std::uint32_t kStorePayloadVersion = 2;
 
 void hash_cc(Hasher128& h, const ta::ClockConstraint& cc) {
   h.i32(cc.clock);
@@ -108,7 +109,6 @@ void write_passed_store(ByteWriter& out, const PassedStoreExport& store) {
   out.u64(store.entries.size());
   for (const StoreEntry& entry : store.entries) {
     out.u64(entry.parent);
-    out.str(entry.label);
     out.u64(entry.edges.size());
     for (const EdgeRef& ref : entry.edges) {
       out.i32(ref.automaton);
@@ -171,7 +171,6 @@ PassedStoreExport read_passed_store(ByteReader& in) {
     PSV_REQUIRE_AS(ErrorCode::kProtocol,
                    i == 0 ? entry.parent == kNoStoreParent : entry.parent < i,
                    "passed-store parent ordinal out of order");
-    entry.label = in.str();
     const std::size_t num_edges = in.length(8);
     entry.edges.reserve(num_edges);
     for (std::size_t e = 0; e < num_edges; ++e) {

@@ -13,12 +13,11 @@
 // are *closed* and never expanded again; everything else falls back to
 // normal exploration. Results are bit-identical to a cold run.
 //
-// The serialized payload travels inside VerificationArtifact (format v4,
+// The serialized payload travels inside VerificationArtifact (format v5,
 // mc/artifact.h) and is keyed there by the network's skeleton digest.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "mc/succ.h"
@@ -35,8 +34,10 @@ inline constexpr std::uint64_t kNoStoreParent = ~std::uint64_t{0};
 /// order: entry 0 is the initial state; every parent precedes its children.
 struct StoreEntry {
   std::uint64_t parent = kNoStoreParent;  ///< ordinal of the parent entry
-  std::string label;                      ///< transition label (traces)
-  std::vector<EdgeRef> edges;             ///< participating edges, firing order
+  /// Participating edges, firing order. Trace labels are rendered from them
+  /// against the importing network, so a renamed location never shows up
+  /// under its old name.
+  std::vector<EdgeRef> edges;
   std::vector<ta::LocId> locs;
   std::vector<std::int64_t> vars;
   /// Stored (post-extrapolation) zone.

@@ -151,17 +151,16 @@ bool SuccGen::replay(const std::vector<EdgeRef>& edges, SymState& child, dbm::Db
   return finalize(child, pre, pre_differs);
 }
 
-void SuccGen::emit(SymState&& next, std::vector<EdgeRef>&& edges, std::string&& label,
+void SuccGen::emit(SymState&& next, std::vector<EdgeRef>&& edges,
                    std::vector<SymSuccessor>& out) const {
   SymSuccessor succ;
   if (capture_) {
     if (!finalize(next, &succ.pre_zone, &succ.pre_differs)) return;
-    succ.edges = std::move(edges);
   } else {
     if (!finalize(next)) return;
   }
   succ.state = std::move(next);
-  succ.label = std::move(label);
+  succ.edges = std::move(edges);
   out.push_back(std::move(succ));
 }
 
@@ -194,6 +193,15 @@ std::string SuccGen::edge_label(const EdgeRef& ref) const {
   return label;
 }
 
+std::string SuccGen::label(const std::vector<EdgeRef>& edges) const {
+  std::string label;
+  for (const EdgeRef& ref : edges) {
+    if (!label.empty()) label += " ~ ";
+    label += edge_label(ref);
+  }
+  return label;
+}
+
 void SuccGen::append_internal(const SymState& state, bool committed_only,
                               std::vector<SymSuccessor>& out) const {
   for (const EdgeRef& ref : internal_edges_) {
@@ -207,8 +215,7 @@ void SuccGen::append_internal(const SymState& state, bool committed_only,
     next.locs[static_cast<std::size_t>(ref.automaton)] = e.dst;
     apply_assignments(e.update, next.vars);
     apply_resets(e.update, next.zone);
-    emit(std::move(next), capture_ ? std::vector<EdgeRef>{ref} : std::vector<EdgeRef>{},
-         edge_label(ref), out);
+    emit(std::move(next), {ref}, out);
   }
 }
 
@@ -239,9 +246,7 @@ void SuccGen::append_binary(const SymState& state, bool committed_only,
         apply_assignments(re.update, next.vars);
         apply_resets(se.update, next.zone);
         apply_resets(re.update, next.zone);
-        emit(std::move(next),
-             capture_ ? std::vector<EdgeRef>{send, recv} : std::vector<EdgeRef>{},
-             edge_label(send) + " ~ " + edge_label(recv), out);
+        emit(std::move(next), {send, recv}, out);
       }
     }
   }
@@ -287,9 +292,7 @@ void SuccGen::append_broadcast(const SymState& state, bool committed_only,
         bool feasible = apply_clock_guard(next.zone, se.guard);
         if (feasible) {
           next.locs[static_cast<std::size_t>(send.automaton)] = se.dst;
-          std::string label = edge_label(send);
-          std::vector<EdgeRef> parts;
-          if (capture_) parts.push_back(send);
+          std::vector<EdgeRef> parts{send};
           apply_assignments(se.update, next.vars);
           apply_resets(se.update, next.zone);
           // Receivers run in automaton order (choices are built in order).
@@ -299,10 +302,9 @@ void SuccGen::append_broadcast(const SymState& state, bool committed_only,
             next.locs[static_cast<std::size_t>(recv.automaton)] = re.dst;
             apply_assignments(re.update, next.vars);
             apply_resets(re.update, next.zone);
-            label += " ~ " + edge_label(recv);
-            if (capture_) parts.push_back(recv);
+            parts.push_back(recv);
           }
-          emit(std::move(next), std::move(parts), std::move(label), out);
+          emit(std::move(next), std::move(parts), out);
         }
         // Advance the product counter.
         std::size_t g = 0;

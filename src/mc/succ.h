@@ -27,15 +27,14 @@ struct EdgeRef {
   int edge_index = 0;
 };
 
-/// One symbolic transition: the successor state plus a printable label of
-/// the participating edges (for diagnostic traces). With capture enabled
-/// (SuccGen::set_capture) the participants and the pre-extrapolation zone
-/// ride along so the passed store can be exported for warm starts.
+/// One symbolic transition: the successor state plus the participating
+/// edges that fired it — the only record of a transition; labels for
+/// diagnostic traces are rendered from them on demand (SuccGen::label). With
+/// capture enabled (SuccGen::set_capture) the pre-extrapolation zone rides
+/// along so the passed store can be exported for warm starts.
 struct SymSuccessor {
   SymState state;
-  std::string label;
-  /// Participating edges in firing order (sender first); empty unless the
-  /// generator runs in capture mode.
+  /// Participating edges in firing order (sender first).
   std::vector<EdgeRef> edges;
   /// Zone after guards/resets/invariants/delay-closure but BEFORE
   /// extrapolation; only meaningful in capture mode and only when
@@ -62,9 +61,9 @@ class SuccGen {
   /// True iff some automaton rests in an urgent or committed location.
   bool time_frozen(const std::vector<ta::LocId>& locs) const;
 
-  /// Record participating edges and pre-extrapolation zones on every
-  /// generated successor (store-export mode). Off by default; the cold
-  /// exploration path pays nothing.
+  /// Record pre-extrapolation zones on every generated successor
+  /// (store-export mode). Off by default; the cold exploration path pays
+  /// nothing.
   void set_capture(bool capture) { capture_ = capture; }
   bool capture() const { return capture_; }
 
@@ -82,6 +81,11 @@ class SuccGen {
   /// Apply this generator's extrapolation to a zone (for re-extrapolating
   /// an imported pre-extrapolation zone under new constants).
   void extrapolate(dbm::Dbm& zone) const { zone.extrapolate_max_bounds(max_consts_); }
+
+  /// Printable label of a transition, rendered from THIS network's names:
+  /// "A.l1->l2[c!] ~ B.l3->l4[c?]" (participants in firing order); empty for
+  /// no edges (the initial state of a trace).
+  std::string label(const std::vector<EdgeRef>& edges) const;
 
   /// Effective extrapolation constants, indexed by DBM clock index (0..n).
   const std::vector<std::int32_t>& max_consts() const { return max_consts_; }
@@ -115,10 +119,10 @@ class SuccGen {
   bool committed_active(const std::vector<ta::LocId>& locs) const;
   bool loc_committed(ta::AutomatonId a, ta::LocId l) const;
 
-  /// Finalize `next` and append it to `out` (dropping empty zones). In
-  /// capture mode also records the participants and pre-extrapolation zone.
-  void emit(SymState&& next, std::vector<EdgeRef>&& edges, std::string&& label,
-            std::vector<SymSuccessor>& out) const;
+  /// Finalize `next` and append it to `out` with its participants
+  /// (dropping empty zones). In capture mode also records the
+  /// pre-extrapolation zone.
+  void emit(SymState&& next, std::vector<EdgeRef>&& edges, std::vector<SymSuccessor>& out) const;
 
   void append_internal(const SymState& state, bool committed_only,
                        std::vector<SymSuccessor>& out) const;

@@ -22,8 +22,7 @@ Client::Client(const std::string& host, std::uint16_t port)
   ByteReader in(ack->payload);
   version_ = in.u16();
   PSV_REQUIRE_AS(ErrorCode::kProtocol, in.at_end(), "trailing bytes after hello-ack payload");
-  PSV_REQUIRE_AS(ErrorCode::kProtocol,
-                 version_ >= kMinSupportedVersion && version_ <= kProtocolVersion,
+  PSV_REQUIRE_AS(ErrorCode::kProtocol, version_ == kProtocolVersion,
                  "server negotiated unsupported protocol version " + std::to_string(version_));
 }
 
@@ -42,10 +41,6 @@ std::uint64_t Client::send(const core::SourceRequest& request) {
 }
 
 std::uint64_t Client::send_synth(const core::SourceSynthRequest& request) {
-  PSV_REQUIRE_AS(ErrorCode::kProtocol, version_ >= 3,
-                 "synthesis requires protocol version 3; this connection negotiated "
-                 "version " +
-                     std::to_string(version_));
   const std::uint64_t id = next_id_++;
   ByteWriter out;
   core::encode_source_synth_request(out, request);

@@ -50,9 +50,7 @@ class Client {
   /// monotonically increasing) request id.
   std::uint64_t send(const core::SourceRequest& request);
 
-  /// Queue one synthesis job (kSynth, protocol v3). Throws
-  /// psv::Error(kProtocol) when the connection negotiated version < 3 —
-  /// the server would reject the frame anyway.
+  /// Queue one synthesis job (kSynth) without waiting; returns its id.
   std::uint64_t send_synth(const core::SourceSynthRequest& request);
 
   /// Block for the next verify/synth response not yet delivered (buffered

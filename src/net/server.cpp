@@ -102,10 +102,8 @@ void Server::serve_connection(const std::shared_ptr<Connection>& conn) {
                        "client speaks protocol version " + std::to_string(client_max) +
                            " at most; this server requires at least " +
                            std::to_string(kMinSupportedVersion));
-        const std::uint16_t negotiated = std::min(client_max, kProtocolVersion);
-        conn->version = negotiated;
         ByteWriter out;
-        out.u16(negotiated);
+        out.u16(kProtocolVersion);
         std::lock_guard<std::mutex> lock(conn->write_mu);
         write_frame(conn->sock, FrameType::kHelloAck, frame->request_id, out.buffer());
         handshaken = true;
@@ -116,23 +114,11 @@ void Server::serve_connection(const std::shared_ptr<Connection>& conn) {
           handle_verify(conn, std::move(*frame));
           break;
         case FrameType::kSynth:
-          // Version gate: synthesis frames exist since protocol v3. A v2
-          // client that sends one anyway gets a typed, per-request error
-          // (the connection survives — its kVerify traffic is still fine).
-          if (conn->version < 3) {
-            requests_received_.fetch_add(1);
-            requests_error_.fetch_add(1);
-            send_error(conn, frame->request_id, ErrorCode::kProtocol,
-                       "synth frames require protocol version 3; this connection "
-                       "negotiated version " +
-                           std::to_string(conn->version));
-            break;
-          }
           handle_synth(conn, std::move(*frame));
           break;
         case FrameType::kStats: {
           ByteWriter out;
-          encode_server_stats(out, stats(), conn->version);
+          encode_server_stats(out, stats());
           std::lock_guard<std::mutex> lock(conn->write_mu);
           write_frame(conn->sock, FrameType::kStatsReport, frame->request_id, out.buffer());
           break;
@@ -286,7 +272,7 @@ void Server::handle_synth(const std::shared_ptr<Connection>& conn, Frame frame) 
       if (report.stats.warm_states_reused > 0) warm_starts_.fetch_add(1);
       states_reused_total_.fetch_add(report.stats.warm_states_reused);
       ByteWriter out;
-      core::encode_synth_report(out, report, conn->version);
+      core::encode_synth_report(out, report);
       requests_ok_.fetch_add(1);
       {
         std::lock_guard<std::mutex> lock(conn->write_mu);

@@ -94,11 +94,6 @@ class Server {
  private:
   struct Connection {
     Socket sock;
-    /// Negotiated protocol version of this connection (set by the
-    /// handshake; only the reader thread writes it, workers read it).
-    /// Gates v3-only traffic: kSynth frames from a v2 peer get a typed
-    /// kProtocol error, and kStatsReport payloads use the v2 layout.
-    std::uint16_t version = 0;
     std::mutex write_mu;  ///< serializes response frames on this socket
     // Guarded by write_mu: whoever last finishes (reader, or the final
     // in-flight worker after the reader left) half-closes the write side so

@@ -52,7 +52,7 @@ WireError decode_wire_error(ByteReader& in) {
   return error;
 }
 
-void encode_server_stats(ByteWriter& out, const ServerStats& stats, std::uint16_t version) {
+void encode_server_stats(ByteWriter& out, const ServerStats& stats) {
   out.u64(stats.connections_accepted);
   out.u64(stats.connections_active);
   out.u64(stats.requests_received);
@@ -66,21 +66,20 @@ void encode_server_stats(ByteWriter& out, const ServerStats& stats, std::uint16_
   out.u64(stats.explorations_total);
   out.u64(stats.cache_hits_total);
   out.u64(stats.cache_misses_total);
-  // Protocol v2.
   out.u64(stats.warm_starts);
   out.u64(stats.states_reused);
-  // Protocol v3: synthesis counters, gated on the negotiated version so v2
-  // peers (whose decoder rejects trailing bytes) keep parsing.
-  if (version >= 3) {
-    out.u64(stats.synth_requests);
-    out.u64(stats.synth_candidates);
-    out.u64(stats.synth_pruned);
-    out.u64(stats.synth_explored);
-    out.u64(stats.synth_fresh_states);
-  }
+  out.u64(stats.synth_requests);
+  out.u64(stats.synth_candidates);
+  out.u64(stats.synth_pruned);
+  out.u64(stats.synth_explored);
+  out.u64(stats.synth_fresh_states);
 }
 
 ServerStats decode_server_stats(ByteReader& in, std::uint16_t version) {
+  PSV_REQUIRE_AS(ErrorCode::kProtocol, version == kProtocolVersion,
+                 "stats layout of protocol version " + std::to_string(version) +
+                     " is not supported; this build speaks version " +
+                     std::to_string(kProtocolVersion));
   ServerStats stats;
   stats.connections_accepted = in.u64();
   stats.connections_active = in.u64();
@@ -97,13 +96,11 @@ ServerStats decode_server_stats(ByteReader& in, std::uint16_t version) {
   stats.cache_misses_total = in.u64();
   stats.warm_starts = in.u64();
   stats.states_reused = in.u64();
-  if (version >= 3) {
-    stats.synth_requests = in.u64();
-    stats.synth_candidates = in.u64();
-    stats.synth_pruned = in.u64();
-    stats.synth_explored = in.u64();
-    stats.synth_fresh_states = in.u64();
-  }
+  stats.synth_requests = in.u64();
+  stats.synth_candidates = in.u64();
+  stats.synth_pruned = in.u64();
+  stats.synth_explored = in.u64();
+  stats.synth_fresh_states = in.u64();
   PSV_REQUIRE_AS(ErrorCode::kProtocol, in.at_end(), "trailing bytes after stats payload");
   return stats;
 }

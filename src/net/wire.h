@@ -16,8 +16,9 @@
 //
 // Version negotiation: the client opens with kHello carrying the highest
 // version it speaks; the server answers kHelloAck with the version the
-// connection will use (min(client, server)), or a kError frame with
-// ErrorCode::kProtocol when no common version exists. No other frame may
+// connection will use, or a kError frame with ErrorCode::kProtocol when the
+// client is older than kMinSupportedVersion. The floor equals the ceiling,
+// so every connection speaks exactly kProtocolVersion. No other frame may
 // precede the handshake.
 //
 // Pipelining: after the handshake the client may send any number of kVerify
@@ -33,10 +34,9 @@
 //   kReport      core::VerifyReport (encode_verify_report)
 //   kError       u8 ErrorCode + str message
 //   kStats       (empty)
-//   kStatsReport ServerStats (encode_server_stats; layout depends on the
-//                NEGOTIATED version — v2 peers receive the v2 prefix only)
-//   kSynth       core::SourceSynthRequest (encode_source_synth_request, v3+)
-//   kSynthReport core::SynthReport (encode_synth_report, v3+)
+//   kStatsReport ServerStats (encode_server_stats)
+//   kSynth       core::SourceSynthRequest (encode_source_synth_request)
+//   kSynthReport core::SynthReport (encode_synth_report)
 //
 // Every decoder is bounds-checked and throws psv::Error(kProtocol) on
 // malformed input: bad magic, unknown frame type, nonzero reserved byte,
@@ -54,22 +54,14 @@
 
 namespace psv::net {
 
-/// Highest protocol version this build speaks, and the lowest it still
-/// accepts from peers. Bump kProtocolVersion when the frame or payload
-/// encoding changes; raise kMinSupportedVersion only when dropping
-/// compatibility is intended. Version 2: ExploreStats blocks inside
-/// kReport payloads and the ServerStats payload gained the warm-start
-/// counters — a version-1 peer would misparse both, so the floor rises
-/// with the ceiling. Version 3: synthesis frames (kSynth/kSynthReport) and
-/// synthesis counters in ServerStats — both gated on the NEGOTIATED
-/// connection version, so the floor stays at 2: a v2 peer never sees a v3
-/// payload, and a v2 client sending kSynth gets a typed kProtocol error.
-/// Version 4: kSynthReport feasibility entries carry the witness
-/// candidate's ranked critical traces — appended only on v4+ connections
-/// (encode_synth_report takes the negotiated version), so a v3 peer still
-/// parses the v3 prefix it expects.
-inline constexpr std::uint16_t kProtocolVersion = 4;
-inline constexpr std::uint16_t kMinSupportedVersion = 2;
+/// Highest protocol version this build speaks, and the lowest it accepts
+/// from peers. Bump core::kPayloadVersion when the frame or payload
+/// encoding changes. Version 5: the request options lost the bound-engine
+/// tag and the cache directory (the daemon's own --cache-dir is the only
+/// one it writes to). The floor equals the ceiling: no peer speaks a
+/// down-level layout, so no payload carries a version gate.
+inline constexpr std::uint16_t kProtocolVersion = core::kPayloadVersion;
+inline constexpr std::uint16_t kMinSupportedVersion = kProtocolVersion;
 
 /// Frame type tags. Part of the wire format: append, never renumber.
 enum class FrameType : std::uint8_t {
@@ -124,10 +116,10 @@ struct ServerStats {
   std::uint64_t explorations_total = 0;   ///< summed over served requests
   std::uint64_t cache_hits_total = 0;     ///< artifact-cache hits, served requests
   std::uint64_t cache_misses_total = 0;
-  // Incremental exploration (protocol v2).
+  // Incremental exploration.
   std::uint64_t warm_starts = 0;    ///< served requests that reused an ancestor store
   std::uint64_t states_reused = 0;  ///< ancestor states seeded without re-exploration
-  // Scheme synthesis (protocol v3; encoded only on v3+ connections).
+  // Scheme synthesis.
   std::uint64_t synth_requests = 0;         ///< kSynth jobs served
   std::uint64_t synth_candidates = 0;       ///< lattice points across served jobs
   std::uint64_t synth_pruned = 0;           ///< analytic + dominated cuts
@@ -138,11 +130,9 @@ struct ServerStats {
 void encode_wire_error(ByteWriter& out, const WireError& error);
 WireError decode_wire_error(ByteReader& in);
 
-/// ServerStats layout depends on the negotiated connection version: the v3
-/// synthesis counters are appended only when `version >= 3` (the decoder's
-/// trailing-bytes check makes an unconditional append misparse on v2
-/// peers).
-void encode_server_stats(ByteWriter& out, const ServerStats& stats, std::uint16_t version);
+/// `version` is the negotiated connection version; anything but
+/// kProtocolVersion is rejected with kProtocol.
+void encode_server_stats(ByteWriter& out, const ServerStats& stats);
 ServerStats decode_server_stats(ByteReader& in, std::uint16_t version);
 
 /// Serialize a frame (header + payload) into a contiguous buffer.

@@ -135,11 +135,10 @@ TapResult tap_trace(const ta::Network& net, const mc::Trace& trace,
     return result;
   }
 
-  // Re-derive the trace through the symbolic semantics in capture mode: the
-  // participating edges of every step are what the time system and the
-  // event mapping are built from.
-  mc::SuccGen gen(net, witness_consts);
-  gen.set_capture(true);
+  // Re-derive the trace through the symbolic semantics: the participating
+  // edges of every step are what the time system and the event mapping are
+  // built from.
+  const mc::SuccGen gen(net, witness_consts);
   std::vector<mc::SymState> states;
   std::vector<std::vector<mc::EdgeRef>> edges;
   states.push_back(gen.initial());
@@ -160,7 +159,7 @@ TapResult tap_trace(const ta::Network& net, const mc::Trace& trace,
     std::vector<mc::SymSuccessor> successors = gen.successors(states.back());
     bool matched = false;
     for (mc::SymSuccessor& s : successors) {
-      if (s.label == step.label && s.state.to_string(net) == step.state) {
+      if (gen.label(s.edges) == step.label && s.state.to_string(net) == step.state) {
         states.push_back(std::move(s.state));
         edges.push_back(std::move(s.edges));
         matched = true;

@@ -22,7 +22,7 @@
 // `maximize_clock` at the end of the run (the probe clock: its canonical
 // DBM entry gives the exact maximum of T_end - T_last_reset), pins that
 // optimum, and assigns each T_i its earliest feasible value in order. The
-// result is a realizable worst-case schedule: for sweep-engine witnesses
+// result is a realizable worst-case schedule: for bound-query witnesses
 // the concretized final probe value equals the reported delay exactly
 // (tests/monitor_test.cpp holds it to that).
 //

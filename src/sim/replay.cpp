@@ -34,7 +34,7 @@ ReplayResult replay_trace(const ta::Network& net, const mc::Trace& trace,
     std::vector<mc::SymSuccessor> successors = gen.successors(current);
     bool matched = false;
     for (mc::SymSuccessor& s : successors) {
-      if (s.label == step.label && s.state.to_string(net) == step.state) {
+      if (gen.label(s.edges) == step.label && s.state.to_string(net) == step.state) {
         current = std::move(s.state);
         matched = true;
         break;

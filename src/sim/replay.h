@@ -1,11 +1,12 @@
 // Symbolic trace replay — witness traces as checkable artifacts.
 //
-// The bound engines (mc/query.h) report witness and ranked critical traces
+// The bound engine (mc/query.h) reports witness and ranked critical traces
 // as rendered text. A trace is only trustworthy if it corresponds to an
 // actual behaviour of the model, so this module re-executes a Trace step by
 // step through the symbolic semantics (mc::SuccGen): starting from the
 // initial state, each step's label AND rendered successor state must match
-// an actual successor exactly.
+// an actual successor exactly (labels rendered by SuccGen::label, the same
+// function that renders them when a trace is built).
 //
 // Bit-exactness requires the extrapolation constants of the exploration
 // that produced the trace (extrapolation changes zone renderings and upper

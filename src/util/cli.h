@@ -48,7 +48,7 @@ class Parser {
   void flag(const std::string& name, bool* target, const std::string& help);
 
   /// Fully custom value flag: `apply` receives the raw value text and throws
-  /// psv::Error to reject it (used for enum-like flags such as --engine).
+  /// psv::Error to reject it (used for range-checked flags such as --top-k).
   void flag_custom(const std::string& name, const std::string& value_name,
                    const std::string& help, std::function<void(const std::string&)> apply);
 

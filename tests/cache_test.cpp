@@ -21,12 +21,15 @@
 #include "core/framework.h"
 #include "dbm/dbm.h"
 #include "core/pim.h"
+#include "core/report_serde.h"
+#include "core/service.h"
 #include "core/transform.h"
 #include "lang/model_parser.h"
 #include "lang/scheme_parser.h"
 #include "mc/artifact.h"
 #include "mc/session.h"
 #include "model_paths.h"
+#include "sim/replay.h"
 #include "util/rng.h"
 
 namespace psv {
@@ -116,7 +119,6 @@ mc::VerificationArtifact sample_artifact() {
   store.entries.push_back(initial);
   mc::StoreEntry child;
   child.parent = 0;
-  child.label = "M.Idle->Work[req?]";
   child.edges = {{0, 0}};
   child.locs = {1};
   child.vars = {8};
@@ -189,7 +191,6 @@ void expect_artifacts_equal(const mc::VerificationArtifact& a, const mc::Verific
       const mc::StoreEntry& x = a.store->entries[i];
       const mc::StoreEntry& y = b.store->entries[i];
       EXPECT_EQ(x.parent, y.parent);
-      EXPECT_EQ(x.label, y.label);
       ASSERT_EQ(x.edges.size(), y.edges.size());
       for (std::size_t e = 0; e < x.edges.size(); ++e) {
         EXPECT_EQ(x.edges[e].automaton, y.edges[e].automaton);
@@ -563,6 +564,22 @@ std::string summary_without_cache_lines(const core::FrameworkResult& result) {
   return out.str();
 }
 
+/// run_framework through a Verifier caching in `dir`. A fresh Verifier per
+/// call holds no pooled sessions, so every call after the first is served
+/// from disk, like a new process.
+core::FrameworkResult run_cached(const std::string& dir, const Network& pim,
+                                 const core::PimInfo& info,
+                                 const core::ImplementationScheme& scheme,
+                                 const core::TimingRequirement& req) {
+  core::Verifier verifier(core::Verifier::Config{dir});
+  core::VerifyRequest request;
+  request.pim = pim;
+  request.info = info;
+  request.schemes = {scheme};
+  request.requirements = {req};
+  return core::framework_result_from(verifier.verify(request), 0, 0);
+}
+
 TEST(WarmColdDifferential, QuickstartPipelineIsBitIdenticalWarm) {
   const std::string model_dir = find_model_dir();
   if (model_dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
@@ -572,11 +589,8 @@ TEST(WarmColdDifferential, QuickstartPipelineIsBitIdenticalWarm) {
   const core::TimingRequirement req{"QREQ", "Req", "Ack", 80};
 
   TempCacheDir dir;
-  core::FrameworkOptions options;
-  options.cache_dir = dir.str();
-
-  const core::FrameworkResult cold = core::run_framework(pim, info, scheme, req, options);
-  const core::FrameworkResult warm = core::run_framework(pim, info, scheme, req, options);
+  const core::FrameworkResult cold = run_cached(dir.str(), pim, info, scheme, req);
+  const core::FrameworkResult warm = run_cached(dir.str(), pim, info, scheme, req);
 
   // Bit-identical bounds, traces (via the rendered report), and verdicts.
   EXPECT_EQ(summary_without_cache_lines(cold), summary_without_cache_lines(warm));
@@ -620,13 +634,11 @@ TEST(WarmColdDifferential, SchemeEditOnlyInvalidatesDownstreamStages) {
   const core::TimingRequirement req{"QREQ", "Req", "Ack", 80};
 
   TempCacheDir dir;
-  core::FrameworkOptions options;
-  options.cache_dir = dir.str();
-  core::run_framework(pim, info, scheme, req, options);
+  run_cached(dir.str(), pim, info, scheme, req);
 
   // Edit the scheme: the PSM changes, the PIM does not.
   scheme.outputs.begin()->second.delay_max += 1;
-  const core::FrameworkResult rerun = core::run_framework(pim, info, scheme, req, options);
+  const core::FrameworkResult rerun = run_cached(dir.str(), pim, info, scheme, req);
   int psm_explorations = 0;
   for (const core::StageStats& stage : rerun.stages) {
     if (stage.name == "pim-verification") {
@@ -641,6 +653,63 @@ TEST(WarmColdDifferential, SchemeEditOnlyInvalidatesDownstreamStages) {
   // sweep (attributed to the constraints stage), so the re-verification
   // shows up as fresh exploration across the two stages together.
   EXPECT_GT(psm_explorations, 0) << "scheme edit must re-explore the PSM";
+}
+
+/// `text` with every occurrence of `from` replaced by `to`.
+std::string replace_all(std::string text, const std::string& from, const std::string& to) {
+  for (std::size_t at = text.find(from); at != std::string::npos;
+       at = text.find(from, at + to.size()))
+    text.replace(at, from.size(), to);
+  return text;
+}
+
+// Regression: warm-started traces are rendered from the network that adopts
+// the ancestor store, never copied from it. Ancestors are matched by
+// skeleton, which masks names, so a model with a renamed location AND a
+// re-timed scheme warm-starts from the original's store; every ranked
+// critical trace must still replay against the EDITED network and name its
+// locations as the edited model does.
+TEST(WarmColdDifferential, RenamedAndEditedWarmStartTracesReplay) {
+  const std::string model_dir = find_model_dir();
+  if (model_dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
+  const std::string model = read_file(model_dir + "quickstart.psv");
+  const std::string scheme = read_file(model_dir + "fast.pss");
+  const std::string renamed = replace_all(model, "Working", "Busy");
+  // Raise the Ack output delay ceiling (the second "delay 1 3"), 3 -> 4.
+  std::string edited_scheme = scheme;
+  const std::size_t ack_delay = edited_scheme.find("delay 1 3", edited_scheme.find("output Ack"));
+  ASSERT_NE(ack_delay, std::string::npos);
+  edited_scheme.replace(ack_delay, 9, "delay 1 4");
+  auto request_for = [](const std::string& model_text, const std::string& scheme_text) {
+    core::SourceRequest source;
+    source.model_source = model_text;
+    source.scheme_sources = {scheme_text};
+    source.requirements = {{"QREQ", "Req", "Ack", 80}};
+    return core::to_verify_request(source);
+  };
+
+  TempCacheDir dir;
+  core::Verifier(core::Verifier::Config{dir.str()}).verify(request_for(model, scheme));
+  const core::VerifyRequest edited = request_for(renamed, edited_scheme);
+  const core::VerifyReport report = core::Verifier(core::Verifier::Config{dir.str()}).verify(edited);
+
+  std::size_t reused = 0;
+  for (const core::VerifyStageStats& stage : report.schemes.at(0).stages)
+    reused += stage.explore.warm_states_reused;
+  EXPECT_GT(reused, 0u) << "the edited PSM must warm-start from the stored one";
+
+  const core::PsmArtifacts psm = core::transform(edited.pim, *edited.info, edited.schemes.at(0));
+  const core::InstrumentedPsmBatch instrumented =
+      core::instrument_psm_for_requirements(psm, edited.requirements);
+  const core::RequirementSlack& slack = report.schemes.at(0).slack.requirements.at(0);
+  ASSERT_FALSE(slack.critical.empty());
+  for (std::size_t k = 0; k < slack.critical.size(); ++k) {
+    const mc::Trace& trace = slack.critical[k].trace;
+    const sim::ReplayResult replay = sim::replay_trace(instrumented.net, trace, slack.witness_consts);
+    EXPECT_TRUE(replay.ok) << "critical trace " << k << ": " << replay.error;
+    EXPECT_EQ(trace.to_string().find("Working"), std::string::npos)
+        << "critical trace " << k << " names a location of the ancestor model";
+  }
 }
 
 }  // namespace

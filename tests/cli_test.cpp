@@ -91,15 +91,15 @@ TEST(CliParser, ParseFailuresAreTypedErrors) {
 }
 
 TEST(CliParser, CustomFlagValidation) {
-  std::string engine = "sweep";
+  std::string mode = "fast";
   cli::Parser parser("tool", "usage");
-  parser.flag_custom("--engine", "E", "engine choice", [&engine](const std::string& value) {
-    PSV_REQUIRE_AS(ErrorCode::kParse, value == "sweep" || value == "probe", "bad engine");
-    engine = value;
+  parser.flag_custom("--mode", "M", "mode choice", [&mode](const std::string& value) {
+    PSV_REQUIRE_AS(ErrorCode::kParse, value == "fast" || value == "slow", "bad mode");
+    mode = value;
   });
-  parse(parser, {"--engine", "probe"});
-  EXPECT_EQ(engine, "probe");
-  EXPECT_THROW(parse(parser, {"--engine", "warp"}), Error);
+  parse(parser, {"--mode", "slow"});
+  EXPECT_EQ(mode, "slow");
+  EXPECT_THROW(parse(parser, {"--mode", "warp"}), Error);
 }
 
 TEST(CliParser, EnvFallbackAppliesOnlyWhenFlagAbsent) {

@@ -257,6 +257,26 @@ TEST(Daemon, RejectsUnsupportedClientVersion) {
   server.stop();
 }
 
+TEST(Daemon, RejectsVersion4HelloWithTypedProtocolError) {
+  net::Server server(loopback_config());
+  server.start();
+
+  // A v4 peer would encode the engine tag and cache directory the v5
+  // request layout dropped; the handshake refuses it before any request.
+  net::Socket sock = net::connect_to("127.0.0.1", server.port());
+  ByteWriter hello;
+  hello.u16(4);
+  net::write_frame(sock, net::FrameType::kHello, 0, hello.buffer());
+  std::optional<net::Frame> reply = net::read_frame(sock);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, net::FrameType::kError);
+  ByteReader in(reply->payload);
+  const net::WireError error = net::decode_wire_error(in);
+  EXPECT_EQ(error.code, ErrorCode::kProtocol);
+  EXPECT_NE(error.message.find("version 4"), std::string::npos) << error.message;
+  server.stop();
+}
+
 TEST(Daemon, RequiresHandshakeBeforeRequests) {
   net::Server server(loopback_config());
   server.start();
@@ -331,7 +351,7 @@ TEST(Daemon, SynthOverWireMatchesInProcess) {
   const core::SynthReport expected = synthesizer.run(core::to_synth_request(source));
 
   net::Client client("127.0.0.1", server.port());
-  ASSERT_GE(client.negotiated_version(), 3);
+  ASSERT_EQ(client.negotiated_version(), net::kProtocolVersion);
   const core::SynthReport served = client.synth(source);
   EXPECT_EQ(served.frontier_text(), expected.frontier_text());
   EXPECT_EQ(served.summary(), expected.summary());
@@ -345,51 +365,6 @@ TEST(Daemon, SynthOverWireMatchesInProcess) {
             expected.stats.explored_cold + expected.stats.explored_warm);
   EXPECT_EQ(stats.synth_pruned,
             expected.stats.pruned_analytic + expected.stats.pruned_dominated);
-  server.stop();
-}
-
-TEST(Daemon, SynthFrameFromV2ClientRejectedWithTypedProtocolError) {
-  net::Server server(loopback_config());
-  server.start();
-
-  // Handshake as an old (v2) client: the server must accept the connection
-  // but reject kSynth frames with a typed error — and keep the connection
-  // alive for the traffic v2 does support.
-  net::Socket sock = net::connect_to("127.0.0.1", server.port());
-  ByteWriter hello;
-  hello.u16(2);
-  net::write_frame(sock, net::FrameType::kHello, 0, hello.buffer());
-  std::optional<net::Frame> ack = net::read_frame(sock);
-  ASSERT_TRUE(ack.has_value());
-  ASSERT_EQ(ack->type, net::FrameType::kHelloAck);
-  {
-    ByteReader in(ack->payload);
-    EXPECT_EQ(in.u16(), 2);
-  }
-
-  net::write_frame(sock, net::FrameType::kSynth, 7, {});
-  std::optional<net::Frame> reply = net::read_frame(sock);
-  ASSERT_TRUE(reply.has_value());
-  ASSERT_EQ(reply->type, net::FrameType::kError);
-  EXPECT_EQ(reply->request_id, 7u);
-  {
-    ByteReader in(reply->payload);
-    const net::WireError error = net::decode_wire_error(in);
-    EXPECT_EQ(error.code, ErrorCode::kProtocol);
-    EXPECT_NE(error.message.find("version 3"), std::string::npos);
-  }
-
-  // The connection survives: a kStats round trip still works, answered in
-  // the v2 layout (no synthesis counters).
-  net::write_frame(sock, net::FrameType::kStats, 8, {});
-  std::optional<net::Frame> stats_reply = net::read_frame(sock);
-  ASSERT_TRUE(stats_reply.has_value());
-  ASSERT_EQ(stats_reply->type, net::FrameType::kStatsReport);
-  {
-    ByteReader in(stats_reply->payload);
-    const net::ServerStats stats = net::decode_server_stats(in, 2);
-    EXPECT_EQ(stats.synth_requests, 0u);
-  }
   server.stop();
 }
 

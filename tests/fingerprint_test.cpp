@@ -326,10 +326,6 @@ TEST(Fingerprint, ArtifactKeyCoversResultAffectingOptionsOnly) {
   more_states.max_states = opts.max_states * 2;
   EXPECT_NE(k0.digest, mc::artifact_key(fp, more_states).digest);
 
-  mc::ExploreOptions probe = opts;
-  probe.engine = mc::QueryEngine::kProbe;
-  EXPECT_NE(k0.digest, mc::artifact_key(fp, probe).digest);
-
   // Exploration is deterministic across thread counts; jobs must not key.
   mc::ExploreOptions threaded = opts;
   threaded.jobs = 8;

@@ -4,6 +4,7 @@
 #include "mc/query.h"
 #include "mc/reach.h"
 #include "mc/state.h"
+#include "support/probe_oracle.h"
 #include "ta/model.h"
 #include "util/error.h"
 
@@ -464,10 +465,9 @@ TEST(MaxClock, RequestResponseBoundIs500) {
   ASSERT_TRUE(sweep.bounded);
   EXPECT_EQ(sweep.bound, 500);
   EXPECT_LE(sweep.probes, 2) << "hint 1024 covers the bound: no refinement needed";
-  // Probe engine (cross-check): gallop + binary search, identical bound.
-  ExploreOptions probe_opts;
-  probe_opts.engine = QueryEngine::kProbe;
-  MaxClockResult probe = max_clock_value(net, at(net, "ENV", "Await"), 0, 100000, probe_opts);
+  // Reference oracle (gallop + binary search): identical bound.
+  MaxClockResult probe =
+      psv::testing::probe_max_clock_value(net, at(net, "ENV", "Await"), 0, 100000, {}, 1024);
   ASSERT_TRUE(probe.bounded);
   EXPECT_EQ(probe.bound, 500);
   EXPECT_GT(probe.probes, 2);

@@ -30,11 +30,10 @@ core::SourceRequest example_request() {
   request.requirements = {{"REQ1", "In", "Out", 500}, {"REQ2", "In", "Late", 2500}};
   request.options.search_limit = 4242;
   request.options.explore.jobs = 3;
-  request.options.explore.engine = mc::QueryEngine::kProbe;
+  request.options.explore.max_states = 12345;
   request.options.transform.instrument_constraint4 = false;
   request.options.run_constraint_checks = false;
   request.options.top_k = 7;
-  request.options.cache_dir = "/tmp/psv-cache";
   return request;
 }
 
@@ -75,11 +74,10 @@ TEST(ReportSerde, SourceRequestRoundTrip) {
   EXPECT_EQ(decoded.requirements[1].bound_ms, 2500);
   EXPECT_EQ(decoded.options.search_limit, 4242);
   EXPECT_EQ(decoded.options.explore.jobs, 3u);
-  EXPECT_EQ(decoded.options.explore.engine, mc::QueryEngine::kProbe);
+  EXPECT_EQ(decoded.options.explore.max_states, 12345u);
   EXPECT_FALSE(decoded.options.transform.instrument_constraint4);
   EXPECT_FALSE(decoded.options.run_constraint_checks);
   EXPECT_EQ(decoded.options.top_k, 7);
-  EXPECT_EQ(decoded.options.cache_dir, "/tmp/psv-cache");
   // Re-encoding the decoded request reproduces the bytes exactly.
   EXPECT_EQ(encode_request(decoded), bytes);
 }
@@ -113,13 +111,11 @@ TEST(ReportSerde, DecodedReportCarriesNoPsmArtifacts) {
   EXPECT_EQ(decoded.schemes.front().psm.psm.num_automata(), 0u);
 }
 
-TEST(ReportSerde, RejectsBadEngineTagAndTrailingBytes) {
+TEST(ReportSerde, LeavesTrailingBytesAndRejectsTruncation) {
   const std::vector<std::uint8_t> bytes = encode_request(example_request());
   {
-    // The engine tag sits right where encode_verify_options wrote it;
-    // corrupt it via a high value by appending instead: decode a request
-    // with one trailing byte — decode_source_request itself leaves
-    // trailing detection to the caller, so check the reader position.
+    // decode_source_request leaves trailing-byte detection to the caller
+    // (the frame layer), so check the reader position.
     std::vector<std::uint8_t> extended = bytes;
     extended.push_back(0x7F);
     ByteReader in(extended);
@@ -152,7 +148,7 @@ TEST(Wire, ErrorAndStatsPayloadRoundTrip) {
     stats.synth_requests = 4;
     stats.synth_fresh_states = 999;
     ByteWriter out;
-    net::encode_server_stats(out, stats, net::kProtocolVersion);
+    net::encode_server_stats(out, stats);
     ByteReader in(out.buffer());
     const net::ServerStats decoded = net::decode_server_stats(in, net::kProtocolVersion);
     EXPECT_EQ(decoded.connections_accepted, 3u);
@@ -164,24 +160,28 @@ TEST(Wire, ErrorAndStatsPayloadRoundTrip) {
     EXPECT_EQ(decoded.synth_fresh_states, 999u);
   }
   {
-    // Version-gated layout: a v2 encoding carries no synthesis counters and
-    // still round-trips for a v2 peer; a v3 decoder applied to it throws
-    // (truncated), and vice versa a v2 decoder rejects the longer payload.
-    net::ServerStats stats;
-    stats.requests_ok = 7;
-    stats.synth_requests = 5;
-    ByteWriter v2;
-    net::encode_server_stats(v2, stats, 2);
-    ByteReader in2(v2.buffer());
-    const net::ServerStats decoded2 = net::decode_server_stats(in2, 2);
-    EXPECT_EQ(decoded2.requests_ok, 7u);
-    EXPECT_EQ(decoded2.synth_requests, 0u);  // not on the wire in v2
-    ByteReader cross(v2.buffer());
-    EXPECT_THROW((void)net::decode_server_stats(cross, 3), Error);
-    ByteWriter v3;
-    net::encode_server_stats(v3, stats, 3);
-    ByteReader cross2(v3.buffer());
-    EXPECT_THROW((void)net::decode_server_stats(cross2, 2), Error);
+    // One layout, one version: a decoder told the connection negotiated
+    // any other version refuses the payload with a typed protocol error.
+    ByteWriter stats;
+    net::encode_server_stats(stats, net::ServerStats{});
+    ByteWriter synth;
+    core::encode_synth_report(synth, core::SynthReport{});
+    for (const std::uint16_t version : {std::uint16_t{3}, std::uint16_t{4}}) {
+      ByteReader stats_in(stats.buffer());
+      ByteReader synth_in(synth.buffer());
+      try {
+        (void)net::decode_server_stats(stats_in, version);
+        ADD_FAILURE() << "version " << version << " stats layout accepted";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kProtocol);
+      }
+      try {
+        (void)core::decode_synth_report(synth_in, version);
+        ADD_FAILURE() << "version " << version << " synth-report layout accepted";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kProtocol);
+      }
+    }
   }
 }
 
@@ -301,7 +301,7 @@ TEST(WireFuzz, StatsFramesBitFlipsAndTruncations) {
   stats.requests_ok = 11;
   stats.cache_hits_total = 7;
   ByteWriter payload;
-  net::encode_server_stats(payload, stats, net::kProtocolVersion);
+  net::encode_server_stats(payload, stats);
   fuzz_frame(net::encode_frame(net::FrameType::kStatsReport, 3, payload.buffer()));
 }
 

@@ -1,9 +1,10 @@
-// Differential coverage for the two bound-query engines and the shared
+// Differential coverage for the sweep bound engine and the shared
 // verification sessions.
 //
-// The sweep engine (one full-space exploration, widen-and-refine) and the
-// probe engine (gallop + binary search) must produce bit-identical bounds
-// on every model: the paper's pump case study (Table-I 490/440), the
+// The sweep engine (one full-space exploration, widen-and-refine) must
+// produce bounds bit-identical to the probe reference oracle (gallop +
+// binary search over reachability checks, tests/support/probe_oracle.h) on
+// every model: the paper's pump case study (Table-I 490/440), the
 // quickstart model, and a seeded family of randomized request/response
 // networks. Session reuse must be invisible: batched queries, one-off
 // queries and repeated (cached) queries all agree.
@@ -24,6 +25,7 @@
 #include "mc/query.h"
 #include "mc/session.h"
 #include "model_paths.h"
+#include "support/probe_oracle.h"
 #include "util/rng.h"
 
 namespace psv {
@@ -31,11 +33,11 @@ namespace {
 
 using namespace psv::ta;
 using psv::testing::find_model_dir;
+using psv::testing::probe_max_clock_value;
 using psv::testing::read_file;
 
-mc::ExploreOptions engine_opts(mc::QueryEngine engine, unsigned jobs) {
+mc::ExploreOptions jobs_opts(unsigned jobs) {
   mc::ExploreOptions opts;
-  opts.engine = engine;
   opts.jobs = jobs;
   return opts;
 }
@@ -49,7 +51,7 @@ void expect_same_answer(const mc::MaxClockResult& a, const mc::MaxClockResult& b
 
 // --- Pump case study (Table I) ----------------------------------------------
 
-TEST(QueryEngineDifferential, PumpTableIBoundsIdenticalAcrossEnginesAndJobs) {
+TEST(QueryEngineDifferential, PumpTableIBoundsMatchOracleAcrossJobs) {
   gpca::PumpModelOptions opt;
   opt.include_empty_syringe = false;  // keeps every exploration in seconds
   const Network pim = gpca::build_pump_pim(opt);
@@ -60,14 +62,17 @@ TEST(QueryEngineDifferential, PumpTableIBoundsIdenticalAcrossEnginesAndJobs) {
 
   std::vector<mc::MaxClockResult> in_results;
   std::vector<mc::MaxClockResult> out_results;
+  const mc::StateFormula in_pred = mc::when(var_eq(in.pending, 1));
+  const mc::StateFormula out_pred = mc::when(var_eq(out.pending, 1));
   for (const unsigned jobs : {1u, 8u}) {
-    for (const mc::QueryEngine engine : {mc::QueryEngine::kSweep, mc::QueryEngine::kProbe}) {
-      const mc::ExploreOptions opts = engine_opts(engine, jobs);
-      in_results.push_back(mc::max_clock_value(psm.psm, mc::when(var_eq(in.pending, 1)),
-                                               in.delay_clock, 100'000, opts, 490));
-      out_results.push_back(mc::max_clock_value(psm.psm, mc::when(var_eq(out.pending, 1)),
-                                                out.delay_clock, 100'000, opts, 440));
-    }
+    const mc::ExploreOptions opts = jobs_opts(jobs);
+    in_results.push_back(mc::max_clock_value(psm.psm, in_pred, in.delay_clock, 100'000, opts, 490));
+    out_results.push_back(
+        mc::max_clock_value(psm.psm, out_pred, out.delay_clock, 100'000, opts, 440));
+    in_results.push_back(
+        probe_max_clock_value(psm.psm, in_pred, in.delay_clock, 100'000, opts, 490));
+    out_results.push_back(
+        probe_max_clock_value(psm.psm, out_pred, out.delay_clock, 100'000, opts, 440));
   }
   for (std::size_t i = 1; i < in_results.size(); ++i) {
     expect_same_answer(in_results[0], in_results[i], "Input-Delay(BolusReq) run " +
@@ -83,7 +88,7 @@ TEST(QueryEngineDifferential, PumpTableIBoundsIdenticalAcrossEnginesAndJobs) {
 
 // --- Quickstart model -------------------------------------------------------
 
-TEST(QueryEngineDifferential, QuickstartPipelineIdenticalAcrossEnginesAndJobs) {
+TEST(QueryEngineDifferential, QuickstartPipelineMatchesOracleAcrossJobs) {
   const std::string dir = find_model_dir();
   if (dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
   const Network pim = lang::parse_model(read_file(dir + "quickstart.psv"));
@@ -91,40 +96,46 @@ TEST(QueryEngineDifferential, QuickstartPipelineIdenticalAcrossEnginesAndJobs) {
   const core::ImplementationScheme scheme = lang::parse_scheme(read_file(dir + "fast.pss"));
   const core::TimingRequirement req{"QREQ", "Req", "Ack", 80};
 
-  // Per engine: the rendered report embeds every verified bound and the
-  // shared constraint-exploration statistics; string equality across thread
-  // counts pins the whole pipeline outcome. Across engines the *bounds and
-  // verdicts* are identical but the constraint details legitimately differ:
-  // the sweep engine discharges the flags from the combined batch sweep
-  // (probe-clock extrapolation constants included), the probe engine from a
-  // dedicated flag sweep — so the reported state counts disagree.
-  std::vector<core::FrameworkResult> results[2];
+  // The rendered report embeds every verified bound and the shared
+  // constraint-exploration statistics; string equality across thread
+  // counts pins the whole pipeline outcome.
+  std::vector<core::FrameworkResult> results;
   for (const unsigned jobs : {1u, 8u}) {
-    for (const mc::QueryEngine engine : {mc::QueryEngine::kSweep, mc::QueryEngine::kProbe}) {
-      core::FrameworkOptions options;
-      options.explore = engine_opts(engine, jobs);
-      results[engine == mc::QueryEngine::kProbe].push_back(
-          core::run_framework(pim, info, scheme, req, options));
-    }
+    core::FrameworkOptions options;
+    options.explore = jobs_opts(jobs);
+    results.push_back(core::run_framework(pim, info, scheme, req, options));
   }
-  for (const auto& engine_results : results)
-    for (std::size_t i = 1; i < engine_results.size(); ++i)
-      EXPECT_EQ(engine_results[0].summary(), engine_results[i].summary()) << "jobs run " << i;
-  for (const core::FrameworkResult& probe_result : results[1]) {
-    const core::FrameworkResult& sweep_result = results[0][0];
-    EXPECT_EQ(sweep_result.bounds.to_string(), probe_result.bounds.to_string());
-    EXPECT_EQ(sweep_result.pim.max_delay, probe_result.pim.max_delay);
-    EXPECT_EQ(sweep_result.psm_meets_original, probe_result.psm_meets_original);
-    EXPECT_EQ(sweep_result.psm_meets_relaxed, probe_result.psm_meets_relaxed);
-    ASSERT_EQ(sweep_result.constraints.checks.size(), probe_result.constraints.checks.size());
-    for (std::size_t c = 0; c < sweep_result.constraints.checks.size(); ++c)
-      EXPECT_EQ(sweep_result.constraints.checks[c].holds,
-                probe_result.constraints.checks[c].holds)
-          << sweep_result.constraints.checks[c].name;
+  EXPECT_EQ(results[0].summary(), results[1].summary());
+  EXPECT_EQ(results[0].bounds.input_delays.at(0).verified, 14);
+  EXPECT_EQ(results[0].bounds.output_delays.at(0).verified, 3);
+  EXPECT_EQ(results[0].bounds.lemma2_total, 97);
+
+  // Every verified figure of the pipeline, re-derived by the oracle on the
+  // same instrumented PSM: per-variable delays and the end-to-end M-C delay.
+  const core::PsmArtifacts psm = core::transform(pim, info, scheme);
+  const core::InstrumentedPsm instrumented = core::instrument_psm_for_requirement(psm, req);
+  const mc::ExploreOptions opts = jobs_opts(1);
+  ASSERT_EQ(psm.inputs.size(), results[0].bounds.input_delays.size());
+  for (std::size_t i = 0; i < psm.inputs.size(); ++i) {
+    const mc::MaxClockResult oracle =
+        probe_max_clock_value(instrumented.net, mc::when(var_eq(psm.inputs[i].pending, 1)),
+                              psm.inputs[i].delay_clock, 100'000, opts, 64);
+    ASSERT_TRUE(oracle.bounded);
+    EXPECT_EQ(oracle.bound, results[0].bounds.input_delays[i].verified) << "input " << i;
   }
-  EXPECT_EQ(results[0][0].bounds.input_delays.at(0).verified, 14);
-  EXPECT_EQ(results[0][0].bounds.output_delays.at(0).verified, 3);
-  EXPECT_EQ(results[0][0].bounds.lemma2_total, 97);
+  ASSERT_EQ(psm.outputs.size(), results[0].bounds.output_delays.size());
+  for (std::size_t i = 0; i < psm.outputs.size(); ++i) {
+    const mc::MaxClockResult oracle =
+        probe_max_clock_value(instrumented.net, mc::when(var_eq(psm.outputs[i].pending, 1)),
+                              psm.outputs[i].delay_clock, 100'000, opts, 64);
+    ASSERT_TRUE(oracle.bounded);
+    EXPECT_EQ(oracle.bound, results[0].bounds.output_delays[i].verified) << "output " << i;
+  }
+  const mc::MaxClockResult mc_oracle = probe_max_clock_value(
+      instrumented.net, mc::when(var_eq(instrumented.mc_probe.pending, 1)),
+      instrumented.mc_probe.clock, 100'000, opts, 64);
+  ASSERT_TRUE(mc_oracle.bounded);
+  EXPECT_EQ(mc_oracle.bound, results[0].bounds.verified_mc_delay);
 }
 
 // --- Seeded randomized networks ---------------------------------------------
@@ -213,12 +224,12 @@ TEST(QueryEngineDifferential, SeededRandomizedNetworksAgree) {
     const Network net = random_reqresp_net(seed, bounded, hi);
     const mc::StateFormula pred = mc::at(net, "ENV", "Await");
     // Hints straddling the answer exercise round-0 resolution, the
-    // widen-and-refine loop, and the probe gallop from both sides.
+    // widen-and-refine loop, and the oracle's gallop from both sides.
     for (const std::int64_t hint : {std::int64_t{1}, std::int64_t{hi}, std::int64_t{5000}}) {
-      const mc::MaxClockResult sweep = mc::max_clock_value(
-          net, pred, 0, 10'000, engine_opts(mc::QueryEngine::kSweep, 1), hint);
-      const mc::MaxClockResult probe = mc::max_clock_value(
-          net, pred, 0, 10'000, engine_opts(mc::QueryEngine::kProbe, 1), hint);
+      const mc::MaxClockResult sweep =
+          mc::max_clock_value(net, pred, 0, 10'000, jobs_opts(1), hint);
+      const mc::MaxClockResult probe =
+          probe_max_clock_value(net, pred, 0, 10'000, jobs_opts(1), hint);
       expect_same_answer(sweep, probe,
                          "seed " + std::to_string(seed) + " hint " + std::to_string(hint));
       if (bounded) {
@@ -237,7 +248,8 @@ TEST(QueryEngineDifferential, SeededRandomizedNetworksAgree) {
 // payload (values, rendered traces, witness constants) and the slack report
 // derived from it are BIT-IDENTICAL at every thread count, rankings are
 // monotonically ordered with ranked[0] == bound, and unbounded/unreachable
-// results carry no ranked payload. Both engines agree on every bound.
+// results carry no ranked payload. The oracle agrees on every bound (its
+// binary search only ever sees the maximum, so it ranks a single entry).
 TEST(SlackRankingProperty, SeededNetworksRankingsBitIdenticalAcrossJobs) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const bool bounded = seed % 3 != 0;  // every third net is unbounded
@@ -252,15 +264,17 @@ TEST(SlackRankingProperty, SeededNetworksRankingsBitIdenticalAcrossJobs) {
         {"R" + std::to_string(seed), "req", "resp", std::int64_t{hi} + 7}};
 
     std::int64_t first_bound = -1;
-    for (const mc::QueryEngine engine : {mc::QueryEngine::kSweep, mc::QueryEngine::kProbe}) {
+    for (const bool oracle : {false, true}) {
       std::vector<std::string> payloads;
       std::vector<std::string> slacks;
       for (const unsigned jobs : {1u, 2u, 8u}) {
         const std::string label = "seed " + std::to_string(seed) + " engine " +
-                                  (engine == mc::QueryEngine::kSweep ? "sweep" : "probe") +
-                                  " jobs " + std::to_string(jobs);
+                                  (oracle ? "oracle" : "sweep") + " jobs " +
+                                  std::to_string(jobs);
         const std::vector<mc::MaxClockResult> results =
-            mc::max_clock_values(net, batch, engine_opts(engine, jobs));
+            oracle ? std::vector<mc::MaxClockResult>{probe_max_clock_value(
+                         net, pred, 0, 10'000, jobs_opts(jobs), 64, /*top_k=*/4)}
+                   : mc::max_clock_values(net, batch, jobs_opts(jobs));
         const mc::MaxClockResult& r = results.at(0);
         EXPECT_EQ(r.bounded, bounded) << label;
         if (bounded) {
@@ -356,7 +370,7 @@ TEST(SessionReuse, RefinementWorkIsAccounted) {
   // clock difference bounds the probe clock t (max 400 = 2 phases x 200),
   // so a low hint abstracts t's upper bound away and forces the sweep
   // through the widen-and-refine loop, whose explorations must all land in
-  // the session's totals (they feed --stats-json and bench_query_engine).
+  // the session's totals (they feed --stats-json).
   Network net("twophase");
   const ClockId t = net.add_clock("t");
   const ClockId x = net.add_clock("x");
@@ -415,9 +429,9 @@ TEST(SessionReuse, RefinementWorkIsAccounted) {
       << "single-query batch: session totals must equal the query's counted sweeps";
   EXPECT_EQ(session.stats().explore.states_explored, r.stats.states_explored);
 
-  // The probe engine agrees from the same low hint.
-  const mc::MaxClockResult probe = mc::max_clock_value(
-      net, q.pred, t, q.limit, engine_opts(mc::QueryEngine::kProbe, 1), q.hint);
+  // The oracle agrees from the same low hint.
+  const mc::MaxClockResult probe =
+      probe_max_clock_value(net, q.pred, t, q.limit, jobs_opts(1), q.hint);
   ASSERT_TRUE(probe.bounded);
   EXPECT_EQ(probe.bound, 400);
 }
@@ -445,11 +459,10 @@ TEST(SessionReuse, RepeatedFlagChecksShareOneExploration) {
 // passed store into a session for a RANDOMLY single-edit-perturbed net
 // (one timing constant raised, lowered, or a period stretched — the
 // skeleton never changes) and the warm answers are bit-identical to a cold
-// session's at every thread count and under both engines. The ancestor only
-// accelerates the sweep engine; under the probe engine adoption must be an
-// exact no-op. Upward edits must actually reuse or revalidate stored states
-// — otherwise the warm start silently degraded to a cold run.
-TEST(IncrementalExploration, SeededPerturbedNetsWarmMatchesColdAcrossEnginesAndJobs) {
+// session's at every thread count. Every warm run must actually reuse or
+// revalidate stored states — otherwise the warm start silently degraded to
+// a cold run.
+TEST(IncrementalExploration, SeededPerturbedNetsWarmMatchesColdAcrossJobs) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     std::int32_t base_hi = 0;
     const Network base = random_reqresp_net(seed, /*bounded=*/true, base_hi);
@@ -467,38 +480,28 @@ TEST(IncrementalExploration, SeededPerturbedNetsWarmMatchesColdAcrossEnginesAndJ
         << "seed " << seed << ": a constant edit must not change the skeleton";
 
     // The ancestor: one captured sweep over the unperturbed net.
-    mc::VerificationSession ancestor(base, engine_opts(mc::QueryEngine::kSweep, 1));
+    mc::VerificationSession ancestor(base, jobs_opts(1));
     mc::BoundQuery base_query{mc::at(base, "ENV", "Await"), 0, 10'000, /*hint=*/64};
     ancestor.max_clock_value(base_query);
     const std::shared_ptr<const mc::PassedStoreExport> store = ancestor.exported_store();
     ASSERT_NE(store, nullptr) << "seed " << seed << ": sweep session exported no store";
 
     const mc::BoundQuery query{mc::at(perturbed, "ENV", "Await"), 0, 10'000, /*hint=*/64};
-    for (const mc::QueryEngine engine : {mc::QueryEngine::kSweep, mc::QueryEngine::kProbe}) {
-      for (const unsigned jobs : {1u, 2u, 8u}) {
-        const std::string label = "seed " + std::to_string(seed) + " edit " +
-                                  std::to_string(which) + " engine " +
-                                  (engine == mc::QueryEngine::kSweep ? "sweep" : "probe") +
-                                  " jobs " + std::to_string(jobs);
-        mc::VerificationSession cold(perturbed, engine_opts(engine, jobs));
-        const mc::MaxClockResult cold_result = cold.max_clock_value(query);
+    for (const unsigned jobs : {1u, 2u, 8u}) {
+      const std::string label = "seed " + std::to_string(seed) + " edit " +
+                                std::to_string(which) + " jobs " + std::to_string(jobs);
+      mc::VerificationSession cold(perturbed, jobs_opts(jobs));
+      const mc::MaxClockResult cold_result = cold.max_clock_value(query);
 
-        mc::VerificationSession warm(perturbed, engine_opts(engine, jobs));
-        warm.adopt_ancestor(store);
-        const mc::MaxClockResult warm_result = warm.max_clock_value(query);
+      mc::VerificationSession warm(perturbed, jobs_opts(jobs));
+      warm.adopt_ancestor(store);
+      const mc::MaxClockResult warm_result = warm.max_clock_value(query);
 
-        expect_same_answer(cold_result, warm_result, label);
-        ASSERT_TRUE(warm_result.bounded) << label;
-        EXPECT_EQ(warm_result.bound, hi) << label;
-        if (engine == mc::QueryEngine::kSweep) {
-          EXPECT_GT(warm.stats().warm_start_states_reused() + warm.stats().states_revalidated(),
-                    0u)
-              << label << ": adopted ancestor was never consulted";
-        } else {
-          EXPECT_EQ(warm.stats().warm_start_states_reused(), 0u)
-              << label << ": the probe engine must ignore ancestors";
-        }
-      }
+      expect_same_answer(cold_result, warm_result, label);
+      ASSERT_TRUE(warm_result.bounded) << label;
+      EXPECT_EQ(warm_result.bound, hi) << label;
+      EXPECT_GT(warm.stats().warm_start_states_reused() + warm.stats().states_revalidated(), 0u)
+          << label << ": adopted ancestor was never consulted";
     }
   }
 }

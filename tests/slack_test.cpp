@@ -27,6 +27,7 @@
 #include "mc/state.h"
 #include "model_paths.h"
 #include "sim/replay.h"
+#include "support/probe_oracle.h"
 
 namespace psv {
 namespace {
@@ -113,16 +114,13 @@ TEST(SlackTraces, PumpProbeWitnessReplays) {
   const core::PsmArtifacts psm = core::transform(pim, info, gpca::board_scheme(opt));
   const core::OutputArtifacts& out = psm.output("StartInfusion");
 
-  mc::ExploreOptions opts;
-  opts.engine = mc::QueryEngine::kProbe;
   const mc::StateFormula pred = mc::when(var_eq(out.pending, 1));
-  mc::VerificationSession session(psm.psm, opts);
-  mc::BoundQuery query{pred, out.delay_clock, 100'000, 440, /*top_k=*/5};
-  const mc::MaxClockResult result = session.max_clock_value(query);
+  const mc::MaxClockResult result = psv::testing::probe_max_clock_value(
+      psm.psm, pred, out.delay_clock, 100'000, {}, 440, /*top_k=*/5);
   ASSERT_TRUE(result.bounded);
   EXPECT_EQ(result.bound, 440);
-  // The probe engine's goal-directed searches only ever materialize the
-  // extremal witness.
+  // The oracle's goal-directed searches only ever materialize the extremal
+  // witness.
   ASSERT_EQ(result.ranked.size(), 1u);
   expect_ranked_replayable(psm.psm, result, pred, out.delay_clock,
                            /*exact_upper=*/false, "probe Output-Delay");

@@ -73,11 +73,9 @@ struct CliOptions {
   bool print_psm = false;
   bool slack_detail = false;
   int top_k = -1;  // -1 = the service default (mc::kDefaultTopK)
-  std::string engine = "sweep";
   std::string stats_json_path;
   std::string cache_dir;
   bool no_cache = false;
-  bool goal_pruning = false;
   std::string emit_code_path;     ///< write generated C for the PIM
   std::string emit_monitor_path;  ///< write the generated C99 runtime monitor
   bool monitor_check = false;     ///< replay critical traces through the monitor
@@ -136,17 +134,6 @@ psv::cli::Parser make_parser(CliOptions& cli) {
               "exploration worker threads (default: all hardware\n"
               "threads; 1 = single-threaded; results are identical\n"
               "for every value)");
-  parser.flag_custom("--engine", "E",
-                     "bound-query engine: 'sweep' (default; one shared\n"
-                     "exploration answers the whole query batch) or\n"
-                     "'probe' (binary-search cross-check); bounds are\n"
-                     "bit-identical for both",
-                     [&cli](const std::string& value) {
-                       PSV_REQUIRE_AS(psv::ErrorCode::kParse,
-                                      value == "sweep" || value == "probe",
-                                      "--engine expects 'sweep' or 'probe'");
-                       cli.engine = value;
-                     });
   parser.flag("--slack", &cli.slack_detail,
               "print the detailed slack report per scheme: the\n"
               "top-K critical traces of every requirement's M-C\n"
@@ -169,10 +156,6 @@ psv::cli::Parser make_parser(CliOptions& cli) {
                                           std::to_string(psv::mc::kMaxTopK) + "]");
                        cli.top_k = parsed;
                      });
-  parser.flag("--goal-pruning", &cli.goal_pruning,
-              "stop bounds-only sweeps early once every pending\n"
-              "maximum is saturated (bounds and verdicts are\n"
-              "unchanged; statistics and cache keys differ)");
   parser.flag("--emit-code", &cli.emit_code_path, "FILE",
               "write the generated C implementation of the PIM\n"
               "(codegen::emit_c, with a demo main) to FILE\n"
@@ -200,7 +183,9 @@ psv::cli::Parser make_parser(CliOptions& cli) {
   parser.flag("--cache-dir", &cli.cache_dir, "DIR",
               "persist verification artifacts in DIR, keyed on the\n"
               "model's canonical fingerprint: a repeat run on an\n"
-              "unchanged model re-verifies without exploration");
+              "unchanged model re-verifies without exploration.\n"
+              "Ignored with --connect: the daemon's own --cache-dir\n"
+              "applies");
   parser.env_fallback("--cache-dir", "PSV_CACHE_DIR");
   parser.flag("--no-cache", &cli.no_cache, "ignore $PSV_CACHE_DIR and run without the cache");
   parser.epilog(
@@ -329,7 +314,7 @@ void write_synth_counters(psv::json::Writer& w, const psv::core::SynthStats& sta
 /// the Pareto and feasibility frontiers).
 void write_stats_json(const std::string& path, const std::vector<JobOutcome>& outcomes,
                       const std::vector<SynthOutcome>& synth_outcomes,
-                      unsigned jobs, const std::string& engine, double total_wall_ms,
+                      unsigned jobs, double total_wall_ms,
                       const std::string& cache_dir,
                       const std::optional<psv::net::ServerStats>& server_stats) {
   std::ofstream out(path);
@@ -366,7 +351,6 @@ void write_stats_json(const std::string& path, const std::vector<JobOutcome>& ou
   if (first != nullptr)
     w.field("requirement",
             first->report.schemes.front().requirements.front().requirement.name);
-  w.field("engine", engine);
   w.field("jobs", jobs);
   w.field("total_wall_ms", total_wall_ms);
   w.key("cache");
@@ -644,13 +628,14 @@ void write_text_file(const std::string& path, const std::string& text) {
 /// may complete out of order server-side); outcomes come back in job order
 /// either way, so the printed output is identical.
 std::vector<JobOutcome> execute_jobs(const std::vector<Job>& jobs, const std::string& connect,
+                                     const std::string& cache_dir,
                                      std::optional<psv::net::ServerStats>* server_stats) {
   std::vector<JobOutcome> outcomes;
   outcomes.reserve(jobs.size());
   if (connect.empty()) {
     // One Verifier for the whole invocation: batch jobs share pooled
     // sessions and the artifact cache.
-    psv::core::Verifier verifier;
+    psv::core::Verifier verifier(psv::core::Verifier::Config{cache_dir});
     for (const Job& job : jobs) {
       outcomes.push_back(
           {job.name, job.model_path, verifier.verify(psv::core::to_verify_request(job.source))});
@@ -677,14 +662,14 @@ std::vector<JobOutcome> execute_jobs(const std::vector<Job>& jobs, const std::st
 /// frames, pipelined like verify jobs). The frontier lines are identical in
 /// both modes and at every worker count.
 std::vector<SynthOutcome> execute_synth_jobs(
-    const std::vector<SynthJob>& jobs, const std::string& connect,
+    const std::vector<SynthJob>& jobs, const std::string& connect, const std::string& cache_dir,
     std::optional<psv::net::ServerStats>* server_stats) {
   std::vector<SynthOutcome> outcomes;
   outcomes.reserve(jobs.size());
   if (connect.empty()) {
     // One Verifier for the whole sweep: every candidate shares the pooled
     // sessions and the pinned warm-start ancestor.
-    psv::core::Verifier verifier;
+    psv::core::Verifier verifier(psv::core::Verifier::Config{cache_dir});
     psv::core::SchemeSynthesizer synthesizer(verifier);
     for (const SynthJob& job : jobs) {
       outcomes.push_back(
@@ -737,8 +722,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   // Cache resolution: --no-cache wins, then --cache-dir, then the
-  // PSV_CACHE_DIR fallback (already applied by the parser).
-  if (cli.no_cache) cli.cache_dir.clear();
+  // PSV_CACHE_DIR fallback (already applied by the parser). A daemon caches
+  // in its own --cache-dir; the local setting never travels.
+  if (cli.no_cache || !cli.connect.empty()) cli.cache_dir.clear();
 
   try {
     // The emission/monitor features read the parsed single-model inputs.
@@ -752,10 +738,6 @@ int main(int argc, char** argv) {
     psv::core::VerifyOptions options;
     options.search_limit = cli.limit;
     options.explore.jobs = cli.jobs;
-    options.explore.engine =
-        cli.engine == "probe" ? psv::mc::QueryEngine::kProbe : psv::mc::QueryEngine::kSweep;
-    options.cache_dir = cli.cache_dir;
-    options.explore.goal_pruning = cli.goal_pruning;
     if (cli.top_k >= 0) options.top_k = cli.top_k;
 
     const auto wall_start = std::chrono::steady_clock::now();
@@ -851,12 +833,12 @@ int main(int argc, char** argv) {
     std::optional<psv::net::ServerStats> server_stats;
     std::vector<JobOutcome> outcomes;
     if (!jobs.empty())
-      outcomes = execute_jobs(
-          jobs, cli.connect, want_stats && synth_jobs.empty() ? &server_stats : nullptr);
+      outcomes = execute_jobs(jobs, cli.connect, cli.cache_dir,
+                              want_stats && synth_jobs.empty() ? &server_stats : nullptr);
     std::vector<SynthOutcome> synth_outcomes;
     if (!synth_jobs.empty())
-      synth_outcomes =
-          execute_synth_jobs(synth_jobs, cli.connect, want_stats ? &server_stats : nullptr);
+      synth_outcomes = execute_synth_jobs(synth_jobs, cli.connect, cli.cache_dir,
+                                          want_stats ? &server_stats : nullptr);
 
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
       JobOutcome& outcome = outcomes[i];
@@ -921,8 +903,8 @@ int main(int argc, char** argv) {
       all_passed = all_passed && !job.report.pareto.empty();
 
     if (!cli.stats_json_path.empty()) {
-      write_stats_json(cli.stats_json_path, outcomes, synth_outcomes, cli.jobs, cli.engine,
-                       total_wall_ms, cli.cache_dir, server_stats);
+      write_stats_json(cli.stats_json_path, outcomes, synth_outcomes, cli.jobs, total_wall_ms,
+                       cli.cache_dir, server_stats);
       std::cout << "wrote per-stage stats to " << cli.stats_json_path << "\n";
     }
 
