@@ -13,8 +13,11 @@
 #include <iostream>
 
 #include "core/analysis.h"
-#include "gpca/pump_model.h"
+#include "core/pim.h"
+#include "lang/model_parser.h"
+#include "lang/scheme_parser.h"
 #include "sim/runner.h"
+#include "util/io.h"
 #include "util/table.h"
 
 using namespace psv;
@@ -27,9 +30,7 @@ struct Variant {
 };
 
 core::ImplementationScheme base_scheme() {
-  gpca::PumpModelOptions opt;
-  opt.include_empty_syringe = false;
-  return gpca::board_scheme(opt);
+  return lang::parse_scheme(util::read_file(PSV_MODELS_DIR "board.pss"));
 }
 
 Variant with_poll(std::int32_t interval) {
@@ -64,11 +65,10 @@ Variant with_aperiodic() {
 int main() {
   std::cout << "=== Ablation: scheme mechanisms vs REQ1 timing ===\n\n";
 
-  gpca::PumpModelOptions opt;
-  opt.include_empty_syringe = false;
-  ta::Network pim = gpca::build_pump_pim(opt);
-  core::PimInfo info = gpca::pump_pim_info(pim);
-  core::TimingRequirement req = gpca::req1(opt);
+  ta::Network pim = lang::parse_model(util::read_file(PSV_MODELS_DIR "pump.psv"));
+  core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
+  core::TimingRequirement req =
+      lang::parse_requirement("REQ1: BolusReq -> StartInfusion within 500");
   const std::int64_t pim_bound = 500;
 
   const std::vector<Variant> variants = {

@@ -12,8 +12,10 @@
 #include <iostream>
 
 #include "core/pim.h"
-#include "gpca/pump_model.h"
+#include "lang/model_parser.h"
+#include "lang/scheme_parser.h"
 #include "sim/runner.h"
+#include "util/io.h"
 #include "util/table.h"
 
 using namespace psv;
@@ -21,11 +23,10 @@ using namespace psv;
 int main() {
   std::cout << "=== Fig. 4: timed behavior of the PIM vs the PSM ===\n\n";
 
-  gpca::PumpModelOptions opt;
-  opt.include_empty_syringe = false;
-  ta::Network pim = gpca::build_pump_pim(opt);
-  core::PimInfo info = gpca::pump_pim_info(pim);
-  core::TimingRequirement req = gpca::req1(opt);
+  ta::Network pim = lang::parse_model(util::read_file(PSV_MODELS_DIR "pump.psv"));
+  core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
+  core::TimingRequirement req =
+      lang::parse_requirement("REQ1: BolusReq -> StartInfusion within 500");
 
   // --- PIM ladder: direct synchronization --------------------------------
   core::PimVerification pim_result = core::verify_pim_requirement(pim, info, req, 100000);
@@ -37,7 +38,8 @@ int main() {
             << "]\n\n";
 
   // --- PSM ladder: one simulated transaction ------------------------------
-  core::ImplementationScheme scheme = gpca::board_scheme(opt);
+  core::ImplementationScheme scheme =
+      lang::parse_scheme(util::read_file(PSV_MODELS_DIR "board.pss"));
   sim::Kernel kernel;
   sim::SimCalibration cal;
   sim::PlatformSim platform(kernel, pim, info, scheme, cal, Rng(7));

@@ -8,9 +8,12 @@
 #include <fstream>
 #include <iostream>
 
+#include "core/pim.h"
 #include "core/transform.h"
-#include "gpca/pump_model.h"
+#include "lang/model_parser.h"
+#include "lang/scheme_parser.h"
 #include "ta/print.h"
+#include "util/io.h"
 
 using namespace psv;
 
@@ -36,16 +39,14 @@ int print_automaton(const core::PsmArtifacts& psm, const std::string& name,
 
 int main() {
   std::cout << "=== Fig. 5 / Fig. 6: the platform automata of the PSM ===\n\n";
-  gpca::PumpModelOptions opt;
-  opt.include_empty_syringe = false;
-  ta::Network pim = gpca::build_pump_pim(opt);
-  core::PimInfo info = gpca::pump_pim_info(pim);
+  ta::Network pim = lang::parse_model(util::read_file(PSV_MODELS_DIR "pump.psv"));
+  core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
 
   int failed = 0;
 
   // Fig. 5-(1) in the paper's Example-1 form: interrupt-driven input.
   {
-    core::ImplementationScheme is1 = gpca::is1_scheme(opt);
+    core::ImplementationScheme is1 = core::example_is1(info.inputs, info.outputs);
     core::PsmArtifacts psm = core::transform(pim, info, is1);
     std::cout << "scheme IS1 (Example 1): " << is1.describe() << "\n";
     failed += print_automaton(psm, "IFMI_BolusReq",
@@ -54,7 +55,8 @@ int main() {
 
   // The board variant of §VI: polled, latched button.
   {
-    core::ImplementationScheme board = gpca::board_scheme(opt);
+    core::ImplementationScheme board =
+        lang::parse_scheme(util::read_file(PSV_MODELS_DIR "board.pss"));
     core::PsmArtifacts psm = core::transform(pim, info, board);
     failed += print_automaton(psm, "IFMI_BolusReq",
                               "Fig. 5-(1) IFMI_BolusReq — polling variant (board, Section VI)");

@@ -21,11 +21,14 @@
 #include <string>
 #include <vector>
 
+#include "core/pim.h"
 #include "core/transform.h"
-#include "gpca/pump_model.h"
+#include "lang/model_parser.h"
+#include "lang/scheme_parser.h"
 #include "mc/query.h"
 #include "mc/session.h"
 #include "mc/state.h"
+#include "util/io.h"
 
 namespace {
 
@@ -65,12 +68,11 @@ int main(int argc, char** argv) {
   }
   if (reps < 1 || top_k < 1 || top_k > psv::mc::kMaxTopK) return usage();
 
-  psv::gpca::PumpModelOptions opt;
-  opt.include_empty_syringe = false;
-  const psv::ta::Network pim = psv::gpca::build_pump_pim(opt);
-  const psv::core::PimInfo info = psv::gpca::pump_pim_info(pim);
-  const psv::core::PsmArtifacts psm =
-      psv::core::transform(pim, info, psv::gpca::board_scheme(opt));
+  const psv::ta::Network pim =
+      psv::lang::parse_model(psv::util::read_file(PSV_MODELS_DIR "pump.psv"));
+  const psv::core::PimInfo info = psv::core::analyze_pim(pim, "M", "ENV");
+  const psv::core::PsmArtifacts psm = psv::core::transform(
+      pim, info, psv::lang::parse_scheme(psv::util::read_file(PSV_MODELS_DIR "board.pss")));
 
   // The §V per-variable workload: one Input-/Output-Delay query per probe.
   std::vector<psv::mc::BoundQuery> batch;

@@ -1,7 +1,7 @@
 // Scheme-synthesis benchmark + gate: amortized search over a 200-candidate
 // pump lattice.
 //
-//   bench_synthesis [--models DIR] [--out FILE]
+//   bench_synthesis [--out FILE]
 //
 // A cold probe first verifies the pump model (pump.psv + board.pss) against
 // "SREQ: BolusReq -> StopInfusion" to learn the base verified delay D and
@@ -37,7 +37,7 @@
 namespace {
 
 int usage() {
-  std::cerr << "usage: bench_synthesis [--models DIR] [--out FILE]\n";
+  std::cerr << "usage: bench_synthesis [--out FILE]\n";
   return 2;
 }
 
@@ -61,32 +61,20 @@ std::uint64_t warm_reused(const psv::core::SynthReport& report) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string models_dir;
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--models" && i + 1 < argc) {
-      models_dir = argv[++i];
-      if (!models_dir.empty() && models_dir.back() != '/') models_dir += '/';
-    } else if (arg == "--out" && i + 1 < argc) {
+    if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
       return usage();
     }
   }
 
-  if (models_dir.empty()) {
-    for (const char* prefix : {"examples/models/", "../examples/models/"}) {
-      if (psv::util::try_read_file(std::string(prefix) + "pump.psv")) {
-        models_dir = prefix;
-        break;
-      }
-    }
-  }
-  const auto model_source = psv::util::try_read_file(models_dir + "pump.psv");
-  const auto scheme_source = psv::util::try_read_file(models_dir + "board.pss");
+  const auto model_source = psv::util::try_read_file(PSV_MODELS_DIR "pump.psv");
+  const auto scheme_source = psv::util::try_read_file(PSV_MODELS_DIR "board.pss");
   if (!model_source || !scheme_source) {
-    std::cerr << "bench_synthesis: example models not found (try --models DIR)\n";
+    std::cerr << "bench_synthesis: example models not found in " PSV_MODELS_DIR "\n";
     return 2;
   }
 

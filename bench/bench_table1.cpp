@@ -12,15 +12,19 @@
 // Our verified rows are produced by model-checking the PSM constructed from
 // the pump PIM and the board scheme; the measured rows come from 60 seeded
 // scenarios on the discrete-event platform simulator (the physical GPCA
-// board and oscilloscope are not available — see DESIGN.md). Absolute
-// milliseconds differ from the paper (its platform parameters are
-// unpublished); the assertions below check the relationships the paper
+// board and oscilloscope are not available). Absolute milliseconds differ
+// from the paper (its platform parameters are unpublished; the split that
+// reproduces its 490/440 ms bounds is in the examples/models/board.pss
+// header); the assertions below check the relationships the paper
 // establishes.
 #include <iostream>
 
-#include "core/framework.h"
-#include "gpca/pump_model.h"
+#include "core/pim.h"
+#include "core/service.h"
+#include "lang/model_parser.h"
+#include "lang/scheme_parser.h"
 #include "sim/runner.h"
+#include "util/io.h"
 #include "util/table.h"
 
 using namespace psv;
@@ -37,32 +41,55 @@ constexpr PaperRow kPaperAvg{"paper avg", 610, 97, 215};
 constexpr PaperRow kPaperMax{"paper max", 748, 152, 304};
 constexpr PaperRow kPaperMin{"paper min", 456, 48, 100};
 
+/// Simulator calibration of the board: devices typically run well under
+/// their specified worst cases (the paper's measured delays sit 1.5-3x
+/// below the verified bounds). The scheme's [min, max] windows stay the
+/// verified model parameters; this only shapes the sampled distributions.
+sim::SimCalibration board_calibration() {
+  sim::SimCalibration cal;
+  // The pump motor usually spins up far below its 440ms worst case.
+  cal.outputs["StartInfusion"] = sim::DelayCalibration{0.6, 0.3};
+  cal.outputs["StopInfusion"] = sim::DelayCalibration{0.7, 0.4};
+  cal.outputs["Alarm"] = sim::DelayCalibration{0.7, 0.4};
+  // Input processing is close to its typical value; the dominating input
+  // terms (polling phase, invocation phase) are structural and unaffected.
+  cal.inputs["BolusReq"] = sim::DelayCalibration{0.8, 0.4};
+  cal.inputs["EmptySyringe"] = sim::DelayCalibration{0.8, 0.4};
+  cal.stages = sim::DelayCalibration{0.4, 0.3};
+  return cal;
+}
+
 }  // namespace
 
 int main() {
   std::cout << "=== Table I: platform-specific timing of the GPCA pump (REQ1) ===\n\n";
 
-  gpca::PumpModelOptions model_options;
-  model_options.include_empty_syringe = false;  // Table I measures the REQ1 path
-  ta::Network pim = gpca::build_pump_pim(model_options);
-  core::PimInfo info = gpca::pump_pim_info(pim);
-  core::TimingRequirement req = gpca::req1(model_options);
-  core::ImplementationScheme scheme = gpca::board_scheme(model_options);
+  // Table I measures the REQ1 path, which pump.psv models.
+  core::VerifyRequest request;
+  request.pim = lang::parse_model(util::read_file(PSV_MODELS_DIR "pump.psv"));
+  request.info = core::analyze_pim(request.pim, "M", "ENV");
+  request.schemes = {lang::parse_scheme(util::read_file(PSV_MODELS_DIR "board.pss"))};
+  request.requirements = {lang::parse_requirement("REQ1: BolusReq -> StartInfusion within 500")};
+  request.options.search_limit = 100000;
+  const ta::Network& pim = request.pim;
+  const core::PimInfo& info = *request.info;
+  const core::ImplementationScheme& scheme = request.schemes.front();
+  const core::TimingRequirement& req = request.requirements.front();
 
   // --- verified side (model checking the PSM) ----------------------------
-  core::FrameworkOptions options;
-  options.search_limit = 100000;
-  core::FrameworkResult verified = core::run_framework(pim, info, scheme, req, options);
+  const core::VerifyReport report = core::Verifier().verify(request);
+  const core::ConstraintReport& constraints = report.schemes[0].constraints;
+  const core::RequirementResult& verified = report.schemes[0].requirements[0];
 
   const core::DelayBound& in_bound = verified.bounds.input_delays.front();
   const core::DelayBound& out_bound = verified.bounds.output_delays.front();
-  const bool overflow_free = verified.constraints.all_hold();
+  const bool overflow_free = constraints.all_hold();
 
   // --- measured side (60 simulated bolus scenarios) ------------------------
   sim::MeasurementConfig config;
   config.scenarios = 60;
   config.seed = 2015;
-  config.calibration = gpca::board_calibration();
+  config.calibration = board_calibration();
   sim::MeasurementSummary measured = sim::measure_requirement(pim, info, scheme, req, config);
   const int violations = measured.violations(static_cast<double>(req.bound_ms));
 
@@ -113,7 +140,7 @@ int main() {
       {"PSM |= P(1430): the relaxed requirement is verified",
        verified.psm_meets_relaxed},
       {"constraints C1-C4 hold (bounded-delay conditions)",
-       verified.constraints.all_hold()},
+       constraints.all_hold()},
       {"majority of the 60 scenarios violate 500ms (paper: 53/60)",
        violations > 30},
       {"every measured M-C delay lies below the verified 1430ms bound",
@@ -132,6 +159,6 @@ int main() {
     failed += c.holds ? 0 : 1;
   }
   std::cout << "\nREQ1 violations: " << violations << "/60 (paper: 53/60)\n";
-  std::cout << "constraint detail:\n" << verified.constraints.to_string();
+  std::cout << "constraint detail:\n" << constraints.to_string();
   return failed == 0 ? 0 : 1;
 }

@@ -7,13 +7,15 @@
 
 #include "codegen/cemit.h"
 #include "codegen/stepcode.h"
-#include "gpca/pump_model.h"
+#include "core/pim.h"
+#include "lang/model_parser.h"
+#include "util/io.h"
 
 using namespace psv;
 
 int main() {
-  ta::Network pim = gpca::build_pump_pim();
-  core::PimInfo info = gpca::pump_pim_info(pim);
+  ta::Network pim = lang::parse_model(util::read_file(PSV_MODELS_DIR "pump_syringe.psv"));
+  core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
 
   // The C translation unit a code generator would hand to the platform
   // integrator (the paper uses the TIMES tool for this step).

@@ -10,7 +10,7 @@
 // Build & run:  ./build/examples/quickstart
 #include <iostream>
 
-#include "core/framework.h"
+#include "core/service.h"
 #include "ta/print.h"
 
 using namespace psv;
@@ -82,14 +82,20 @@ int main() {
   scheme.io.write_stage_max = 1;
   std::cout << "--- scheme ---\n" << scheme.describe() << "\n";
 
-  // 4.+5. Transform, check constraints, derive bounds.
-  core::FrameworkOptions options;
-  options.search_limit = 10000;
-  core::FrameworkResult result = core::run_framework(pim, info, scheme, req, options);
-  std::cout << result.summary() << "\n";
+  // 4.+5. Transform, check constraints, derive bounds: one request to the
+  // verification service.
+  core::VerifyRequest request;
+  request.pim = pim;
+  request.info = info;
+  request.schemes = {scheme};
+  request.requirements = {req};
+  request.options.search_limit = 10000;
+  const core::VerifyReport report = core::Verifier().verify(request);
+  std::cout << report.requirement_summary(0, 0) << "\n";
 
+  const core::RequirementResult& result = report.schemes[0].requirements[0];
   std::cout << "The platform adds at most "
             << result.bounds.lemma2_total - result.pim.max_delay
             << "ms on top of the software's own worst case.\n";
-  return result.constraints.all_hold() && result.psm_meets_relaxed ? 0 : 1;
+  return report.schemes[0].constraints.all_hold() && result.psm_meets_relaxed ? 0 : 1;
 }

@@ -13,7 +13,8 @@
 #include "core/analysis.h"
 #include "core/schedulability.h"
 #include "core/scheme.h"
-#include "gpca/pump_model.h"
+#include "lang/scheme_parser.h"
+#include "util/io.h"
 #include "util/table.h"
 
 using namespace psv;
@@ -23,8 +24,8 @@ namespace {
 core::ImplementationScheme variant(const std::string& name, core::ReadMechanism read,
                                    std::int32_t poll_interval,
                                    core::InvocationKind invocation, std::int32_t period) {
-  gpca::PumpModelOptions opt;
-  core::ImplementationScheme is = gpca::board_scheme(opt);
+  core::ImplementationScheme is =
+      lang::parse_scheme(util::read_file(PSV_MODELS_DIR "board_syringe.pss"));
   is.name = name;
   auto& bolus = is.inputs.at("BolusReq");
   bolus.read = read;

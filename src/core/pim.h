@@ -48,7 +48,7 @@ struct PimInfo {
 ///    the reverse,
 ///  * the software's input-receive edges are unguarded (the transformation
 ///    gives the generated code read-and-discard semantics, which requires
-///    unconditional receives; see DESIGN.md).
+///    unconditional receives; see MIO in docs/PIPELINE.md).
 /// Throws psv::Error with a diagnostic on violation.
 PimInfo analyze_pim(const ta::Network& pim, const std::string& software_name = "M",
                     const std::string& environment_name = "ENV");

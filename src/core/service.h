@@ -31,9 +31,6 @@
 // guarded by its own mutex) and the artifact cache. Results are
 // deterministic: the same request yields bit-identical bounds and verdicts
 // regardless of pooling, threading, or cache state.
-//
-// core::run_framework() (core/framework.h) is a thin compatibility wrapper
-// over a one-request, one-scheme, one-requirement batch.
 #pragma once
 
 #include <cstdint>
@@ -56,12 +53,7 @@
 
 namespace psv::core {
 
-// FrameworkOptions/StageStats live in framework.h; service.h is included by
-// framework.h, so the request/report types carry their own copies of the
-// knobs to avoid a cycle.
-
-/// Pipeline knobs of one request (identical semantics to the historical
-/// FrameworkOptions, which aliases this type).
+/// Pipeline knobs of one request.
 struct VerifyOptions {
   std::int64_t search_limit = 1'000'000;  ///< delay-search ceiling [ms]
   mc::ExploreOptions explore;
@@ -141,6 +133,13 @@ struct VerifyReport {
   /// binding-requirement attribution — when the request carried more than
   /// one candidate.
   std::string summary() const;
+
+  /// The paper's five-step pipeline report for one (scheme, requirement)
+  /// cell: PIM verdict, PSM construction, analytic pre-check, constraints
+  /// C1-C4, delay bounds and the original/relaxed PSM verdicts, followed by
+  /// the stage-1 and per-scheme [cache] lines. psv_verify prints it for a
+  /// single-requirement run. Throws a kModel error on an index out of range.
+  std::string requirement_summary(std::size_t scheme_index, std::size_t requirement_index) const;
 };
 
 /// The long-lived verification service. Cheap to construct; owns the

@@ -55,7 +55,7 @@ struct ExploreStats {
 
 /// Persistent-cache accounting for one pipeline stage (or a whole session),
 /// derived from SessionStats deltas. Feeds psv_verify --stats-json and the
-/// [cache] lines of FrameworkResult::summary() so bench trend tracking can
+/// [cache] lines of the verification reports so bench trend tracking can
 /// tell warm runs from cold ones.
 struct StageCacheStats {
   /// This stage participates in the persistent cache. Stays false for

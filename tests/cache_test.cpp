@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/analysis.h"
-#include "core/framework.h"
 #include "dbm/dbm.h"
 #include "core/pim.h"
 #include "core/report_serde.h"
@@ -36,8 +35,10 @@ namespace psv {
 namespace {
 
 using namespace psv::ta;
-using psv::testing::find_model_dir;
-using psv::testing::read_file;
+using psv::testing::parse_model_file;
+using psv::testing::parse_scheme_file;
+using psv::testing::read_model;
+using psv::testing::replace_all;
 
 /// Self-cleaning unique temp directory for one test.
 struct TempCacheDir {
@@ -555,8 +556,8 @@ TEST(SessionPersistence, CorruptArtifactFallsBackToExploration) {
 
 // --- Pipeline-level warm/cold differential ---------------------------------
 
-std::string summary_without_cache_lines(const core::FrameworkResult& result) {
-  std::istringstream in(result.summary());
+std::string summary_without_cache_lines(const std::string& summary) {
+  std::istringstream in(summary);
   std::ostringstream out;
   std::string line;
   while (std::getline(in, line))
@@ -564,44 +565,58 @@ std::string summary_without_cache_lines(const core::FrameworkResult& result) {
   return out.str();
 }
 
-/// run_framework through a Verifier caching in `dir`. A fresh Verifier per
-/// call holds no pooled sessions, so every call after the first is served
-/// from disk, like a new process.
-core::FrameworkResult run_cached(const std::string& dir, const Network& pim,
-                                 const core::PimInfo& info,
-                                 const core::ImplementationScheme& scheme,
-                                 const core::TimingRequirement& req) {
-  core::Verifier verifier(core::Verifier::Config{dir});
+/// A one-scheme, one-requirement request.
+core::VerifyRequest single_request(const Network& pim, const core::PimInfo& info,
+                                   const core::ImplementationScheme& scheme,
+                                   const core::TimingRequirement& req) {
   core::VerifyRequest request;
   request.pim = pim;
   request.info = info;
   request.schemes = {scheme};
   request.requirements = {req};
-  return core::framework_result_from(verifier.verify(request), 0, 0);
+  return request;
+}
+
+/// The request through a Verifier caching in `dir`. A fresh Verifier per
+/// call holds no pooled sessions, so every call after the first is served
+/// from disk, like a new process.
+core::VerifyReport run_cached(const std::string& dir, const core::VerifyRequest& request) {
+  return core::Verifier(core::Verifier::Config{dir}).verify(request);
+}
+
+/// Stage-1 then per-scheme stages of the report's first scheme.
+std::vector<core::VerifyStageStats> all_stages(const core::VerifyReport& report) {
+  std::vector<core::VerifyStageStats> stages = report.pim_stages;
+  for (const core::VerifyStageStats& s : report.schemes.at(0).stages) stages.push_back(s);
+  return stages;
 }
 
 TEST(WarmColdDifferential, QuickstartPipelineIsBitIdenticalWarm) {
-  const std::string model_dir = find_model_dir();
-  if (model_dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
-  const Network pim = lang::parse_model(read_file(model_dir + "quickstart.psv"));
+  const Network pim = parse_model_file("quickstart.psv");
   const core::PimInfo info = core::analyze_pim(pim);
-  const core::ImplementationScheme scheme = lang::parse_scheme(read_file(model_dir + "fast.pss"));
-  const core::TimingRequirement req{"QREQ", "Req", "Ack", 80};
+  const core::ImplementationScheme scheme = parse_scheme_file("fast.pss");
+  const core::VerifyRequest request =
+      single_request(pim, info, scheme, {"QREQ", "Req", "Ack", 80});
 
   TempCacheDir dir;
-  const core::FrameworkResult cold = run_cached(dir.str(), pim, info, scheme, req);
-  const core::FrameworkResult warm = run_cached(dir.str(), pim, info, scheme, req);
+  const core::VerifyReport cold = run_cached(dir.str(), request);
+  const core::VerifyReport warm = run_cached(dir.str(), request);
+  const core::SchemeVerification& cold_sv = cold.schemes.at(0);
+  const core::SchemeVerification& warm_sv = warm.schemes.at(0);
+  const core::RequirementResult& cold_r = cold_sv.requirements.at(0);
+  const core::RequirementResult& warm_r = warm_sv.requirements.at(0);
 
   // Bit-identical bounds, traces (via the rendered report), and verdicts.
-  EXPECT_EQ(summary_without_cache_lines(cold), summary_without_cache_lines(warm));
-  EXPECT_EQ(cold.bounds.to_string(), warm.bounds.to_string());
-  EXPECT_EQ(cold.constraints.to_string(), warm.constraints.to_string());
-  EXPECT_EQ(cold.psm_meets_original, warm.psm_meets_original);
-  EXPECT_EQ(cold.psm_meets_relaxed, warm.psm_meets_relaxed);
-  EXPECT_EQ(cold.pim.max_delay, warm.pim.max_delay);
+  EXPECT_EQ(summary_without_cache_lines(cold.requirement_summary(0, 0)),
+            summary_without_cache_lines(warm.requirement_summary(0, 0)));
+  EXPECT_EQ(cold_r.bounds.to_string(), warm_r.bounds.to_string());
+  EXPECT_EQ(cold_sv.constraints.to_string(), warm_sv.constraints.to_string());
+  EXPECT_EQ(cold_r.psm_meets_original, warm_r.psm_meets_original);
+  EXPECT_EQ(cold_r.psm_meets_relaxed, warm_r.psm_meets_relaxed);
+  EXPECT_EQ(cold_r.pim.max_delay, warm_r.pim.max_delay);
 
   // The warm run's exploring stages served everything from the cache.
-  for (const core::StageStats& stage : warm.stages) {
+  for (const core::VerifyStageStats& stage : all_stages(warm)) {
     if (stage.name == "transform") continue;
     EXPECT_EQ(stage.explore.states_explored, 0u) << stage.name;
     EXPECT_EQ(stage.explorations, 0) << stage.name;
@@ -610,7 +625,7 @@ TEST(WarmColdDifferential, QuickstartPipelineIsBitIdenticalWarm) {
   }
   // And the cold run reported cold stages with stores.
   int cold_stores = 0;
-  for (const core::StageStats& stage : cold.stages) {
+  for (const core::VerifyStageStats& stage : all_stages(cold)) {
     if (stage.name == "transform") continue;
     EXPECT_STREQ(stage.cache.state(), "cold") << stage.name;
     cold_stores += stage.cache.stores;
@@ -618,29 +633,28 @@ TEST(WarmColdDifferential, QuickstartPipelineIsBitIdenticalWarm) {
   EXPECT_GT(cold_stores, 0);
 
   // A run without a cache dir reports disabled stages and no [cache] lines.
-  const core::FrameworkResult disabled = core::run_framework(pim, info, scheme, req, {});
-  for (const core::StageStats& stage : disabled.stages)
+  const core::VerifyReport disabled = core::Verifier().verify(request);
+  for (const core::VerifyStageStats& stage : all_stages(disabled))
     EXPECT_STREQ(stage.cache.state(), "disabled") << stage.name;
-  EXPECT_EQ(disabled.summary().find("[cache]"), std::string::npos);
-  EXPECT_EQ(summary_without_cache_lines(cold), disabled.summary());
+  const std::string disabled_summary = disabled.requirement_summary(0, 0);
+  EXPECT_EQ(disabled_summary.find("[cache]"), std::string::npos);
+  EXPECT_EQ(summary_without_cache_lines(cold.requirement_summary(0, 0)), disabled_summary);
 }
 
 TEST(WarmColdDifferential, SchemeEditOnlyInvalidatesDownstreamStages) {
-  const std::string model_dir = find_model_dir();
-  if (model_dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
-  const Network pim = lang::parse_model(read_file(model_dir + "quickstart.psv"));
+  const Network pim = parse_model_file("quickstart.psv");
   const core::PimInfo info = core::analyze_pim(pim);
-  core::ImplementationScheme scheme = lang::parse_scheme(read_file(model_dir + "fast.pss"));
+  core::ImplementationScheme scheme = parse_scheme_file("fast.pss");
   const core::TimingRequirement req{"QREQ", "Req", "Ack", 80};
 
   TempCacheDir dir;
-  run_cached(dir.str(), pim, info, scheme, req);
+  run_cached(dir.str(), single_request(pim, info, scheme, req));
 
   // Edit the scheme: the PSM changes, the PIM does not.
   scheme.outputs.begin()->second.delay_max += 1;
-  const core::FrameworkResult rerun = run_cached(dir.str(), pim, info, scheme, req);
+  const core::VerifyReport rerun = run_cached(dir.str(), single_request(pim, info, scheme, req));
   int psm_explorations = 0;
-  for (const core::StageStats& stage : rerun.stages) {
+  for (const core::VerifyStageStats& stage : all_stages(rerun)) {
     if (stage.name == "pim-verification") {
       EXPECT_STREQ(stage.cache.state(), "warm") << "PIM stage must survive a scheme edit";
       EXPECT_EQ(stage.explore.states_explored, 0u);
@@ -655,14 +669,6 @@ TEST(WarmColdDifferential, SchemeEditOnlyInvalidatesDownstreamStages) {
   EXPECT_GT(psm_explorations, 0) << "scheme edit must re-explore the PSM";
 }
 
-/// `text` with every occurrence of `from` replaced by `to`.
-std::string replace_all(std::string text, const std::string& from, const std::string& to) {
-  for (std::size_t at = text.find(from); at != std::string::npos;
-       at = text.find(from, at + to.size()))
-    text.replace(at, from.size(), to);
-  return text;
-}
-
 // Regression: warm-started traces are rendered from the network that adopts
 // the ancestor store, never copied from it. Ancestors are matched by
 // skeleton, which masks names, so a model with a renamed location AND a
@@ -670,10 +676,8 @@ std::string replace_all(std::string text, const std::string& from, const std::st
 // critical trace must still replay against the EDITED network and name its
 // locations as the edited model does.
 TEST(WarmColdDifferential, RenamedAndEditedWarmStartTracesReplay) {
-  const std::string model_dir = find_model_dir();
-  if (model_dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
-  const std::string model = read_file(model_dir + "quickstart.psv");
-  const std::string scheme = read_file(model_dir + "fast.pss");
+  const std::string model = read_model("quickstart.psv");
+  const std::string scheme = read_model("fast.pss");
   const std::string renamed = replace_all(model, "Working", "Busy");
   // Raise the Ack output delay ceiling (the second "delay 1 3"), 3 -> 4.
   std::string edited_scheme = scheme;

@@ -7,7 +7,8 @@
 
 #include "codegen/cemit.h"
 #include "codegen/stepcode.h"
-#include "gpca/pump_model.h"
+#include "core/pim.h"
+#include "model_paths.h"
 #include "util/error.h"
 
 namespace psv::codegen {
@@ -16,19 +17,16 @@ namespace {
 using psv::Error;
 
 // Timing-sensitive expectations below assume the 250ms window start.
-gpca::PumpModelOptions pump_options() {
-  gpca::PumpModelOptions opt;
-  opt.start_min = 250;
-  return opt;
+ta::Network pump() {
+  const std::string text = psv::testing::read_model("pump_syringe.psv");
+  return lang::parse_model(psv::testing::replace_all(text, "x >= 150", "x >= 250"));
 }
-
-ta::Network pump() { return gpca::build_pump_pim(pump_options()); }
 
 constexpr std::int64_t kMs = 1000;  // microseconds per model millisecond
 
 TEST(StepProgram, StartsAtInitialLocation) {
   ta::Network pim = pump();
-  core::PimInfo info = gpca::pump_pim_info(pim);
+  core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
   StepProgram code(pim, info);
   EXPECT_EQ(code.location(), "Idle");
   EXPECT_EQ(code.invocations(), 0);
@@ -36,7 +34,7 @@ TEST(StepProgram, StartsAtInitialLocation) {
 
 TEST(StepProgram, ConsumesInputAndHoldsUntilGuard) {
   ta::Network pim = pump();
-  core::PimInfo info = gpca::pump_pim_info(pim);
+  core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
   StepProgram code(pim, info);
 
   StepResult r = code.step(100 * kMs, {"BolusReq"});
@@ -58,7 +56,7 @@ TEST(StepProgram, ConsumesInputAndHoldsUntilGuard) {
 
 TEST(StepProgram, DiscardsUnusableInput) {
   ta::Network pim = pump();
-  core::PimInfo info = gpca::pump_pim_info(pim);
+  core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
   StepProgram code(pim, info);
   // EmptySyringe in Idle matches no edge: read and discarded.
   StepResult r = code.step(0, {"EmptySyringe"});
@@ -69,7 +67,7 @@ TEST(StepProgram, DiscardsUnusableInput) {
 
 TEST(StepProgram, FullBolusCycle) {
   ta::Network pim = pump();
-  core::PimInfo info = gpca::pump_pim_info(pim);
+  core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
   StepProgram code(pim, info);
 
   code.step(0, {"BolusReq"});
@@ -91,7 +89,7 @@ TEST(StepProgram, FullBolusCycle) {
 
 TEST(StepProgram, NaturalStopAfterInfusionWindow) {
   ta::Network pim = pump();
-  core::PimInfo info = gpca::pump_pim_info(pim);
+  core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
   StepProgram code(pim, info);
   code.step(0, {"BolusReq"});
   code.step(260 * kMs, {});  // start infusion at t=260
@@ -105,7 +103,7 @@ TEST(StepProgram, NaturalStopAfterInfusionWindow) {
 
 TEST(StepProgram, ResetRestoresInitialState) {
   ta::Network pim = pump();
-  core::PimInfo info = gpca::pump_pim_info(pim);
+  core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
   StepProgram code(pim, info);
   code.step(0, {"BolusReq"});
   code.reset(500 * kMs);
@@ -120,7 +118,7 @@ TEST(StepProgram, ResetRestoresInitialState) {
 
 TEST(StepProgram, ClockValueQuery) {
   ta::Network pim = pump();
-  core::PimInfo info = gpca::pump_pim_info(pim);
+  core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
   StepProgram code(pim, info);
   code.step(100 * kMs, {"BolusReq"});  // resets x
   EXPECT_EQ(code.clock_value_us("x", 150 * kMs), 50 * kMs);
@@ -129,7 +127,7 @@ TEST(StepProgram, ClockValueQuery) {
 
 TEST(StepProgram, InvocationCounter) {
   ta::Network pim = pump();
-  core::PimInfo info = gpca::pump_pim_info(pim);
+  core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
   StepProgram code(pim, info);
   for (int k = 0; k < 5; ++k) code.step(k * 100 * kMs, {});
   EXPECT_EQ(code.invocations(), 5);
@@ -137,7 +135,7 @@ TEST(StepProgram, InvocationCounter) {
 
 TEST(CEmit, ContainsInterfaceAndSemantics) {
   ta::Network pim = pump();
-  core::PimInfo info = gpca::pump_pim_info(pim);
+  core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
   CEmitOptions opts;
   opts.prefix = "gpca";
   const std::string c = emit_c(pim, info, opts);
@@ -153,7 +151,7 @@ TEST(CEmit, ContainsInterfaceAndSemantics) {
 
 TEST(CEmit, EmittedCodeCompiles) {
   ta::Network pim = pump();
-  core::PimInfo info = gpca::pump_pim_info(pim);
+  core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
   CEmitOptions opts;
   opts.emit_demo_main = true;
   const std::string c = emit_c(pim, info, opts);
@@ -171,7 +169,7 @@ TEST(CEmit, EmittedCodeCompiles) {
 
 TEST(CEmit, DemoMainOptional) {
   ta::Network pim = pump();
-  core::PimInfo info = gpca::pump_pim_info(pim);
+  core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
   EXPECT_EQ(emit_c(pim, info).find("int main"), std::string::npos);
   CEmitOptions opts;
   opts.emit_demo_main = true;

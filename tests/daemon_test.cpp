@@ -26,24 +26,13 @@
 namespace psv {
 namespace {
 
-using psv::testing::find_model_dir;
-using psv::testing::read_file;
+using psv::testing::read_model;
 
 /// Quickstart sources (cheap model, ~1.2k states per exploration).
 struct Sources {
-  std::string model;
-  std::string fast_scheme;
-  std::string late_scheme;
-  bool ok = false;
-
-  Sources() {
-    const std::string dir = find_model_dir();
-    if (dir.empty()) return;
-    model = read_file(dir + "quickstart.psv");
-    fast_scheme = read_file(dir + "fast.pss");
-    late_scheme = read_file(dir + "late.pss");
-    ok = true;
-  }
+  std::string model = read_model("quickstart.psv");
+  std::string fast_scheme = read_model("fast.pss");
+  std::string late_scheme = read_model("late.pss");
 
   core::SourceRequest request(std::int64_t bound_ms, bool late = false) const {
     core::SourceRequest source;
@@ -79,7 +68,6 @@ net::ServerConfig loopback_config() {
 
 TEST(Daemon, WireReportBitIdenticalToInProcess) {
   Sources src;
-  if (!src.ok) GTEST_SKIP() << "example model files not found from test cwd";
   net::Server server(loopback_config());
   server.start();
 
@@ -107,7 +95,6 @@ TEST(Daemon, WireReportBitIdenticalToInProcess) {
 
 TEST(Daemon, PipelinedRequestsCompletePossiblyOutOfOrder) {
   Sources src;
-  if (!src.ok) GTEST_SKIP() << "example model files not found from test cwd";
   net::Server server(loopback_config());
   server.start();
 
@@ -152,7 +139,6 @@ TEST(Daemon, PipelinedRequestsCompletePossiblyOutOfOrder) {
 
 TEST(Daemon, WarmRepeatAnswersWithZeroExplorations) {
   Sources src;
-  if (!src.ok) GTEST_SKIP() << "example model files not found from test cwd";
   net::Server server(loopback_config());
   server.start();
 
@@ -176,7 +162,6 @@ TEST(Daemon, WarmRepeatAnswersWithZeroExplorations) {
 
 TEST(Daemon, AdmissionControlRejectsExcessRequestsAsBusy) {
   Sources src;
-  if (!src.ok) GTEST_SKIP() << "example model files not found from test cwd";
 
   std::mutex mu;
   std::condition_variable cv;
@@ -218,7 +203,6 @@ TEST(Daemon, AdmissionControlRejectsExcessRequestsAsBusy) {
 
 TEST(Daemon, MalformedRequestYieldsTypedErrorNotDisconnect) {
   Sources src;
-  if (!src.ok) GTEST_SKIP() << "example model files not found from test cwd";
   net::Server server(loopback_config());
   server.start();
 
@@ -294,7 +278,6 @@ TEST(Daemon, RequiresHandshakeBeforeRequests) {
 
 TEST(Daemon, GracefulDrainFinishesInFlightRequests) {
   Sources src;
-  if (!src.ok) GTEST_SKIP() << "example model files not found from test cwd";
 
   std::mutex mu;
   std::condition_variable cv;
@@ -335,14 +318,12 @@ TEST(Daemon, GracefulDrainFinishesInFlightRequests) {
 }
 
 TEST(Daemon, SynthOverWireMatchesInProcess) {
-  const std::string dir = find_model_dir();
-  if (dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
   net::Server server(loopback_config());
   server.start();
 
   core::SourceSynthRequest source;
-  source.model_source = read_file(dir + "quickstart.psv");
-  source.template_source = read_file(dir + "fast_sweep.pss");
+  source.model_source = read_model("quickstart.psv");
+  source.template_source = read_model("fast_sweep.pss");
   source.requirements = {{"QREQ", "Req", "Ack", 80}};
   source.synth.workers = 1;
 
@@ -369,13 +350,11 @@ TEST(Daemon, SynthOverWireMatchesInProcess) {
 }
 
 TEST(Daemon, PrewarmPopulatesSessionPool) {
-  const std::string dir = find_model_dir();
-  if (dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
   // A manifest of two cheap quickstart jobs, with absolute model paths so
   // the temp-dir manifest resolves them regardless of its own location.
-  const std::string model = std::filesystem::absolute(dir + "quickstart.psv").string();
-  const std::string fast = std::filesystem::absolute(dir + "fast.pss").string();
-  const std::string late = std::filesystem::absolute(dir + "late.pss").string();
+  const std::string model = PSV_MODELS_DIR "quickstart.psv";
+  const std::string fast = PSV_MODELS_DIR "fast.pss";
+  const std::string late = PSV_MODELS_DIR "late.pss";
   const std::string manifest_path =
       (std::filesystem::temp_directory_path() / "psv_prewarm_test.psvb").string();
   util::write_file(manifest_path,

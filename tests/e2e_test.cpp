@@ -6,57 +6,89 @@
 // structural claims must survive the scaling.
 #include <gtest/gtest.h>
 
-#include "core/framework.h"
-#include "gpca/pump_model.h"
+#include "core/pim.h"
+#include "core/service.h"
+#include "lang/model_parser.h"
+#include "lang/scheme_parser.h"
 #include "sim/runner.h"
 
 namespace psv {
 namespace {
 
-gpca::PumpModelOptions scaled_pump() {
-  gpca::PumpModelOptions opt;
-  opt.include_empty_syringe = false;
-  opt.start_min = 37;
-  opt.start_deadline = 125;
-  opt.infusion_min = 200;
-  opt.infusion_max = 300;
-  opt.request_gap_min = 100;
-  return opt;
+// pump.psv with every constant divided by ~4: start within [37, 125],
+// infuse for [200, 300], next request no sooner than 100 after a cycle.
+constexpr const char* kScaledPump = R"(
+network gpca_pump
+clock x
+clock env_x
+input  BolusReq
+output StartInfusion
+output StopInfusion
+
+automaton M {
+  init loc Idle
+  loc BolusRequested inv x <= 125
+  loc Infusing inv x <= 300
+
+  Idle -> BolusRequested on m_BolusReq? do x := 0
+  BolusRequested -> Infusing when x >= 37 on c_StartInfusion! do x := 0
+  Infusing -> Idle when x >= 200 on c_StopInfusion! do x := 0
 }
 
-core::ImplementationScheme scaled_scheme(const gpca::PumpModelOptions& opt) {
-  core::ImplementationScheme is = gpca::board_scheme(opt);
-  is.inputs.at("BolusReq").polling_interval = 60;
-  is.inputs.at("BolusReq").delay_min = 2;
-  is.inputs.at("BolusReq").delay_max = 10;
-  is.io.period = 50;
-  is.io.read_stage_max = 2;
-  is.io.compute_stage_max = 2;
-  is.io.write_stage_max = 2;
-  is.outputs.at("StartInfusion").delay_min = 25;
-  is.outputs.at("StartInfusion").delay_max = 110;
-  is.outputs.at("StopInfusion").delay_min = 2;
-  is.outputs.at("StopInfusion").delay_max = 12;
-  return is;
+automaton ENV {
+  init loc Idle
+  loc AwaitStart
+  loc Watching
+
+  Idle -> AwaitStart when env_x >= 100 on m_BolusReq! do env_x := 0
+  AwaitStart -> Watching on c_StartInfusion? do env_x := 0
+  Watching -> Idle on c_StopInfusion? do env_x := 0
 }
+)";
+
+// board.pss scaled the same way.
+constexpr const char* kScaledBoard = R"(
+scheme IS1-board {
+  input BolusReq {
+    signal sustained-until-read
+    read polling interval 60
+    delay 2 10
+    min_interarrival 100
+  }
+  output StartInfusion { delay 25 110 }
+  output StopInfusion { delay 2 12 }
+  io {
+    invocation periodic 50
+    transfer buffers 5
+    policy read-all
+    stages 2 2 2
+  }
+}
+)";
 
 TEST(EndToEnd, ScaledTable1Pipeline) {
-  const gpca::PumpModelOptions opt = scaled_pump();
-  const ta::Network pim = gpca::build_pump_pim(opt);
-  const core::PimInfo info = gpca::pump_pim_info(pim);
-  const core::TimingRequirement req = gpca::req1(opt);  // 125ms deadline
-  const core::ImplementationScheme scheme = scaled_scheme(opt);
+  const ta::Network pim = lang::parse_model(kScaledPump);
+  const core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
+  const core::TimingRequirement req =
+      lang::parse_requirement("REQ1: BolusReq -> StartInfusion within 125");
+  const core::ImplementationScheme scheme = lang::parse_scheme(kScaledBoard);
 
-  core::FrameworkOptions options;
-  options.search_limit = 10'000;
-  const core::FrameworkResult result = core::run_framework(pim, info, scheme, req, options);
+  core::VerifyRequest request;
+  request.pim = pim;
+  request.info = info;
+  request.schemes = {scheme};
+  request.requirements = {req};
+  request.options.search_limit = 10'000;
+  const core::VerifyReport report = core::Verifier().verify(request);
+  const core::SchemeVerification& sv = report.schemes[0];
+  const core::RequirementResult& result = sv.requirements[0];
 
   // [1] the PIM meets REQ1 with the exact scaled bound.
   EXPECT_TRUE(result.pim.holds);
   EXPECT_EQ(result.pim.max_delay, 125);
 
   // [3] constraints C1-C4.
-  EXPECT_TRUE(result.constraints.all_hold()) << result.constraints.to_string();
+  EXPECT_TRUE(sv.constraints.all_hold()) << sv.constraints.to_string();
 
   // [4] Lemma 1: poll(60) + processing(10) + period(50) + read stage(2).
   ASSERT_EQ(result.bounds.input_delays.size(), 1u);

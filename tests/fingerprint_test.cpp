@@ -15,8 +15,9 @@
 #include "core/analysis.h"
 #include "core/pim.h"
 #include "core/transform.h"
-#include "gpca/pump_model.h"
+#include "lang/scheme_parser.h"
 #include "mc/artifact.h"
+#include "model_paths.h"
 #include "ta/fingerprint.h"
 #include "ta/model.h"
 
@@ -291,27 +292,24 @@ TEST(Fingerprint, BoundQueryDigestSurvivesPresentationEdits) {
 // --- Pipeline-level keys: scheme edits, probe sets, options -----------------
 
 TEST(Fingerprint, SensitiveToSchemeParameters) {
-  gpca::PumpModelOptions opt;
-  opt.include_empty_syringe = false;
-  const Network pim = gpca::build_pump_pim(opt);
-  const core::PimInfo info = gpca::pump_pim_info(pim);
-  core::ImplementationScheme scheme = gpca::board_scheme(opt);
+  const Network pim = psv::testing::parse_model_file("pump.psv");
+  const core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
+  core::ImplementationScheme scheme = psv::testing::parse_scheme_file("board.pss");
   const Digest128 base = fingerprint(core::transform(pim, info, scheme).psm).digest;
 
-  core::ImplementationScheme jittered = gpca::board_scheme(opt);
+  core::ImplementationScheme jittered = scheme;
   jittered.inputs.at("BolusReq").delay_max += 10;
   EXPECT_NE(base, fingerprint(core::transform(pim, info, jittered).psm).digest)
       << "a scheme timing edit must invalidate the PSM key";
 }
 
 TEST(Fingerprint, SensitiveToProbeInstrumentation) {
-  gpca::PumpModelOptions opt;
-  opt.include_empty_syringe = false;
-  const Network pim = gpca::build_pump_pim(opt);
-  const core::PimInfo info = gpca::pump_pim_info(pim);
-  const core::PsmArtifacts psm = core::transform(pim, info, gpca::board_scheme(opt));
-  const core::InstrumentedPsm instrumented =
-      core::instrument_psm_for_requirement(psm, gpca::req1(opt));
+  const Network pim = psv::testing::parse_model_file("pump.psv");
+  const core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
+  const core::PsmArtifacts psm =
+      core::transform(pim, info, psv::testing::parse_scheme_file("board.pss"));
+  const core::InstrumentedPsm instrumented = core::instrument_psm_for_requirement(
+      psm, lang::parse_requirement("REQ1: BolusReq -> StartInfusion within 500"));
   EXPECT_NE(fingerprint(psm.psm).digest, fingerprint(instrumented.net).digest)
       << "the probe set is part of the key (through the instrumented network)";
 }

@@ -13,10 +13,9 @@
 #include <vector>
 
 #include "core/analysis.h"
-#include "core/framework.h"
 #include "core/pim.h"
+#include "core/service.h"
 #include "core/transform.h"
-#include "gpca/pump_model.h"
 #include "lang/model_parser.h"
 #include "lang/scheme_parser.h"
 #include "mc/query.h"
@@ -44,13 +43,13 @@ std::string stats_str(const mc::ExploreStats& s) {
   return os.str();
 }
 
-using psv::testing::find_model_dir;
-using psv::testing::read_file;
+using psv::testing::parse_model_file;
+using psv::testing::parse_scheme_file;
 
 // --- Determinism across job counts ------------------------------------------
 
 TEST(ParallelDeterminism, PumpPimReachabilityIdenticalAcrossJobs) {
-  const Network pim = gpca::build_pump_pim();
+  const Network pim = parse_model_file("pump_syringe.psv");
   std::vector<mc::ReachResult> results;
   for (unsigned jobs : kJobCounts) {
     mc::ExploreOptions opts;
@@ -68,9 +67,10 @@ TEST(ParallelDeterminism, PumpPimReachabilityIdenticalAcrossJobs) {
 }
 
 TEST(ParallelDeterminism, PumpPimVerifiedBoundIdenticalAcrossJobs) {
-  const Network pim = gpca::build_pump_pim();
-  const core::PimInfo info = gpca::pump_pim_info(pim);
-  const core::TimingRequirement req = gpca::req1();
+  const Network pim = parse_model_file("pump_syringe.psv");
+  const core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
+  const core::TimingRequirement req =
+      lang::parse_requirement("REQ1: BolusReq -> StartInfusion within 500");
   std::vector<core::PimVerification> results;
   for (unsigned jobs : kJobCounts) {
     mc::ExploreOptions explore;
@@ -86,11 +86,10 @@ TEST(ParallelDeterminism, PumpPimVerifiedBoundIdenticalAcrossJobs) {
 }
 
 TEST(ParallelDeterminism, PumpPsmFullExplorationIdenticalAcrossJobs) {
-  gpca::PumpModelOptions opt;
-  opt.include_empty_syringe = false;  // keeps the sweep in the seconds range
-  const Network pim = gpca::build_pump_pim(opt);
-  const core::PimInfo info = gpca::pump_pim_info(pim);
-  const core::PsmArtifacts psm = core::transform(pim, info, gpca::board_scheme(opt));
+  // The REQ1-only pump keeps the sweep in the seconds range.
+  const Network pim = parse_model_file("pump.psv");
+  const core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
+  const core::PsmArtifacts psm = core::transform(pim, info, parse_scheme_file("board.pss"));
 
   std::vector<mc::ExploreStats> stats;
   for (unsigned jobs : kJobCounts) {
@@ -108,11 +107,9 @@ TEST(ParallelDeterminism, PumpPsmFullExplorationIdenticalAcrossJobs) {
 }
 
 TEST(ParallelDeterminism, PumpPsmDeadlockSearchIdenticalAcrossJobs) {
-  gpca::PumpModelOptions opt;
-  opt.include_empty_syringe = false;
-  const Network pim = gpca::build_pump_pim(opt);
-  const core::PimInfo info = gpca::pump_pim_info(pim);
-  const core::PsmArtifacts psm = core::transform(pim, info, gpca::board_scheme(opt));
+  const Network pim = parse_model_file("pump.psv");
+  const core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
+  const core::PsmArtifacts psm = core::transform(pim, info, parse_scheme_file("board.pss"));
 
   std::vector<mc::DeadlockResult> results;
   for (unsigned jobs : {1u, 8u}) {
@@ -129,29 +126,27 @@ TEST(ParallelDeterminism, PumpPsmDeadlockSearchIdenticalAcrossJobs) {
 }
 
 TEST(ParallelDeterminism, QuickstartFrameworkIdenticalAcrossJobs) {
-  const std::string dir = find_model_dir();
-  if (dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
-  const Network pim = lang::parse_model(read_file(dir + "quickstart.psv"));
-  const core::PimInfo info = core::analyze_pim(pim);
-  const core::ImplementationScheme scheme = lang::parse_scheme(read_file(dir + "fast.pss"));
-  const core::TimingRequirement req{"QREQ", "Req", "Ack", 80};
+  core::VerifyRequest request;
+  request.pim = parse_model_file("quickstart.psv");
+  request.schemes = {parse_scheme_file("fast.pss")};
+  request.requirements = {{"QREQ", "Req", "Ack", 80}};
 
-  std::vector<core::FrameworkResult> results;
+  std::vector<core::VerifyReport> results;
   for (unsigned jobs : kJobCounts) {
-    core::FrameworkOptions options;
-    options.explore.jobs = jobs;
-    results.push_back(core::run_framework(pim, info, scheme, req, options));
+    request.options.explore.jobs = jobs;
+    results.push_back(core::Verifier().verify(request));
   }
   for (std::size_t i = 1; i < results.size(); ++i) {
     // The rendered report embeds state counts from the shared constraint
     // exploration, so string equality pins stats determinism end to end.
-    EXPECT_EQ(results[0].summary(), results[i].summary())
+    EXPECT_EQ(results[0].requirement_summary(0, 0), results[i].requirement_summary(0, 0))
         << "full pipeline report must not depend on jobs=" << kJobCounts[i];
   }
-  EXPECT_EQ(results[0].bounds.input_delays.at(0).verified, 14);
-  EXPECT_EQ(results[0].bounds.output_delays.at(0).verified, 3);
-  EXPECT_EQ(results[0].bounds.lemma2_total, 97);
-  EXPECT_TRUE(results[0].psm_meets_relaxed);
+  const core::RequirementResult& first = results[0].schemes[0].requirements[0];
+  EXPECT_EQ(first.bounds.input_delays.at(0).verified, 14);
+  EXPECT_EQ(first.bounds.output_delays.at(0).verified, 3);
+  EXPECT_EQ(first.bounds.lemma2_total, 97);
+  EXPECT_TRUE(first.psm_meets_relaxed);
 }
 
 // --- Seeded stress model -----------------------------------------------------

@@ -36,8 +36,8 @@
 namespace psv {
 namespace {
 
-using psv::testing::find_model_dir;
-using psv::testing::read_file;
+using psv::testing::parse_model_file;
+using psv::testing::parse_scheme_file;
 
 monitor::MonitorSpec one_req_spec(std::int64_t bound_ms = 80) {
   monitor::MonitorSpec spec;
@@ -250,7 +250,7 @@ std::string run_c_monitor(const std::string& c_source, const std::string& events
   if (std::system(compile.c_str()) != 0) return "<compile failed>";
   const std::string run = bin + " < " + events_path + " > " + out_path + " 2>/dev/null";
   if (std::system(run.c_str()) != 0) return "<run failed>";
-  return read_file(out_path);
+  return util::try_read_file(out_path).value_or(std::string{});
 }
 
 // Differential: a seeded stream of events through both backends must render
@@ -298,12 +298,10 @@ TEST(CMonitor, DifferentialAgainstDelayMonitorOnFuzzedStreams) {
 // --- monitor_spec: only PASS cells are enforceable ------------------------
 
 TEST(MonitorSpec, BuiltFromPassingReportCarriesProvenance) {
-  const std::string dir = find_model_dir();
-  if (dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
   core::VerifyRequest request;
-  request.pim = lang::parse_model(read_file(dir + "quickstart.psv"));
+  request.pim = parse_model_file("quickstart.psv");
   request.info = core::analyze_pim(request.pim);
-  request.schemes = {lang::parse_scheme(read_file(dir + "fast.pss"))};
+  request.schemes = {parse_scheme_file("fast.pss")};
   request.requirements = {{"QREQ", "Req", "Ack", 80}};
   core::Verifier verifier;
   const core::VerifyReport report = verifier.verify(request);
@@ -321,12 +319,10 @@ TEST(MonitorSpec, BuiltFromPassingReportCarriesProvenance) {
 }
 
 TEST(MonitorSpec, RefusesFailingReportWithWitnessDelay) {
-  const std::string dir = find_model_dir();
-  if (dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
   core::VerifyRequest request;
-  request.pim = lang::parse_model(read_file(dir + "quickstart.psv"));
+  request.pim = parse_model_file("quickstart.psv");
   request.info = core::analyze_pim(request.pim);
-  request.schemes = {lang::parse_scheme(read_file(dir + "late.pss"))};
+  request.schemes = {parse_scheme_file("late.pss")};
   request.requirements = {{"QREQ", "Req", "Ack", 80}};
   core::Verifier verifier;
   const core::VerifyReport report = verifier.verify(request);
@@ -350,12 +346,11 @@ struct TappedFixture {
   core::InstrumentedPsmBatch batch;
 };
 
-TappedFixture verify_quickstart(const std::string& dir, const std::string& scheme_file) {
+TappedFixture verify_quickstart(const std::string& scheme_file) {
   core::VerifyRequest request;
-  request.pim = lang::parse_model(read_file(dir + "quickstart.psv"));
+  request.pim = parse_model_file("quickstart.psv");
   request.info = core::analyze_pim(request.pim);
-  const core::ImplementationScheme scheme =
-      lang::parse_scheme(read_file(dir + scheme_file));
+  const core::ImplementationScheme scheme = parse_scheme_file(scheme_file);
   request.schemes = {scheme};
   request.requirements = {{"QREQ", "Req", "Ack", 80}};
   core::Verifier verifier;
@@ -367,9 +362,7 @@ TappedFixture verify_quickstart(const std::string& dir, const std::string& schem
 }
 
 TEST(EventTap, ConcretizesPassTracesExactlyAndMonitorAccepts) {
-  const std::string dir = find_model_dir();
-  if (dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
-  TappedFixture fx = verify_quickstart(dir, "fast.pss");
+  TappedFixture fx = verify_quickstart("fast.pss");
   const core::RequirementSlack& rs = fx.report.schemes[0].slack.requirements.at(0);
   ASSERT_FALSE(rs.critical.empty());
 
@@ -394,9 +387,7 @@ TEST(EventTap, ConcretizesPassTracesExactlyAndMonitorAccepts) {
 }
 
 TEST(EventTap, FailWitnessFiresTheMonitorAtTheExactDeadline) {
-  const std::string dir = find_model_dir();
-  if (dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
-  TappedFixture fx = verify_quickstart(dir, "late.pss");
+  TappedFixture fx = verify_quickstart("late.pss");
   const core::RequirementResult& rr = fx.report.schemes[0].requirements.at(0);
   ASSERT_FALSE(rr.passed);
   EXPECT_EQ(rr.bounds.verified_mc_delay, 284);
@@ -431,9 +422,7 @@ TEST(EventTap, FailWitnessFiresTheMonitorAtTheExactDeadline) {
 }
 
 TEST(EventTap, RejectsTamperedTraces) {
-  const std::string dir = find_model_dir();
-  if (dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
-  TappedFixture fx = verify_quickstart(dir, "fast.pss");
+  TappedFixture fx = verify_quickstart("fast.pss");
   const core::RequirementSlack& rs = fx.report.schemes[0].slack.requirements.at(0);
   ASSERT_FALSE(rs.critical.empty());
   mc::Trace tampered = rs.critical.front().trace;
@@ -454,10 +443,8 @@ TEST(EventTap, RejectsTamperedTraces) {
 // the PASS traces and the FAIL witness stream.
 TEST(EventTap, GeneratedCMonitorAgreesOnRealTraces) {
   if (!have_cc()) GTEST_SKIP() << "no host C compiler";
-  const std::string dir = find_model_dir();
-  if (dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
-  TappedFixture pass = verify_quickstart(dir, "fast.pss");
-  TappedFixture fail = verify_quickstart(dir, "late.pss");
+  TappedFixture pass = verify_quickstart("fast.pss");
+  TappedFixture fail = verify_quickstart("late.pss");
   const monitor::MonitorSpec spec = core::Verifier::monitor_spec(pass.report);
   const std::string c = monitor::emit_c_monitor(spec);
 

@@ -20,8 +20,7 @@
 namespace psv {
 namespace {
 
-using psv::testing::find_model_dir;
-using psv::testing::read_file;
+using psv::testing::read_model;
 
 core::SourceRequest example_request() {
   core::SourceRequest request;
@@ -51,11 +50,9 @@ std::vector<std::uint8_t> encode_report(const core::VerifyReport& report) {
 
 /// A real report off the fast quickstart model (cheap: ~1.2k states).
 core::VerifyReport quickstart_report() {
-  const std::string dir = find_model_dir();
-  if (dir.empty()) return {};
   core::SourceRequest source;
-  source.model_source = read_file(dir + "quickstart.psv");
-  source.scheme_sources = {read_file(dir + "fast.pss")};
+  source.model_source = read_model("quickstart.psv");
+  source.scheme_sources = {read_model("fast.pss")};
   source.requirements = {{"QREQ", "Req", "Ack", 80}, {"QTIGHT", "Req", "Ack", 40}};
   core::Verifier verifier;
   return verifier.verify(core::to_verify_request(source));
@@ -84,7 +81,6 @@ TEST(ReportSerde, SourceRequestRoundTrip) {
 
 TEST(ReportSerde, VerifyReportRoundTripIsByteStable) {
   const core::VerifyReport report = quickstart_report();
-  if (report.schemes.empty()) GTEST_SKIP() << "example model files not found from test cwd";
   const std::vector<std::uint8_t> bytes = encode_report(report);
   ByteReader in(bytes);
   const core::VerifyReport decoded = core::decode_verify_report(in);
@@ -101,7 +97,6 @@ TEST(ReportSerde, VerifyReportRoundTripIsByteStable) {
 
 TEST(ReportSerde, DecodedReportCarriesNoPsmArtifacts) {
   const core::VerifyReport report = quickstart_report();
-  if (report.schemes.empty()) GTEST_SKIP() << "example model files not found from test cwd";
   const std::vector<std::uint8_t> bytes = encode_report(report);
   ByteReader in(bytes);
   const core::VerifyReport decoded = core::decode_verify_report(in);
@@ -314,11 +309,9 @@ TEST(WireFuzz, ReportFrameBitFlipsAndTruncations) {
   // the fuzz is quadratic in the frame size (every bit flip re-checksums
   // the payload), so keep the frame in the low kilobytes. Trace-carrying
   // reports are covered by the byte-stable round-trip test above.
-  const std::string dir = find_model_dir();
-  if (dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
   core::SourceRequest source;
-  source.model_source = read_file(dir + "quickstart.psv");
-  source.scheme_sources = {read_file(dir + "fast.pss")};
+  source.model_source = read_model("quickstart.psv");
+  source.scheme_sources = {read_model("fast.pss")};
   source.requirements = {{"QREQ", "Req", "Ack", 80}};
   source.options.top_k = 0;
   core::Verifier verifier;

@@ -16,10 +16,9 @@
 #include <vector>
 
 #include "core/analysis.h"
-#include "core/framework.h"
 #include "core/pim.h"
+#include "core/service.h"
 #include "core/transform.h"
-#include "gpca/pump_model.h"
 #include "lang/model_parser.h"
 #include "lang/scheme_parser.h"
 #include "mc/query.h"
@@ -32,9 +31,9 @@ namespace psv {
 namespace {
 
 using namespace psv::ta;
-using psv::testing::find_model_dir;
+using psv::testing::parse_model_file;
+using psv::testing::parse_scheme_file;
 using psv::testing::probe_max_clock_value;
-using psv::testing::read_file;
 
 mc::ExploreOptions jobs_opts(unsigned jobs) {
   mc::ExploreOptions opts;
@@ -52,11 +51,10 @@ void expect_same_answer(const mc::MaxClockResult& a, const mc::MaxClockResult& b
 // --- Pump case study (Table I) ----------------------------------------------
 
 TEST(QueryEngineDifferential, PumpTableIBoundsMatchOracleAcrossJobs) {
-  gpca::PumpModelOptions opt;
-  opt.include_empty_syringe = false;  // keeps every exploration in seconds
-  const Network pim = gpca::build_pump_pim(opt);
-  const core::PimInfo info = gpca::pump_pim_info(pim);
-  const core::PsmArtifacts psm = core::transform(pim, info, gpca::board_scheme(opt));
+  // The REQ1-only pump keeps every exploration in seconds.
+  const Network pim = parse_model_file("pump.psv");
+  const core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
+  const core::PsmArtifacts psm = core::transform(pim, info, parse_scheme_file("board.pss"));
   const core::InputArtifacts& in = psm.input("BolusReq");
   const core::OutputArtifacts& out = psm.output("StartInfusion");
 
@@ -89,53 +87,56 @@ TEST(QueryEngineDifferential, PumpTableIBoundsMatchOracleAcrossJobs) {
 // --- Quickstart model -------------------------------------------------------
 
 TEST(QueryEngineDifferential, QuickstartPipelineMatchesOracleAcrossJobs) {
-  const std::string dir = find_model_dir();
-  if (dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
-  const Network pim = lang::parse_model(read_file(dir + "quickstart.psv"));
+  const Network pim = parse_model_file("quickstart.psv");
   const core::PimInfo info = core::analyze_pim(pim);
-  const core::ImplementationScheme scheme = lang::parse_scheme(read_file(dir + "fast.pss"));
+  const core::ImplementationScheme scheme = parse_scheme_file("fast.pss");
   const core::TimingRequirement req{"QREQ", "Req", "Ack", 80};
 
   // The rendered report embeds every verified bound and the shared
   // constraint-exploration statistics; string equality across thread
   // counts pins the whole pipeline outcome.
-  std::vector<core::FrameworkResult> results;
+  core::VerifyRequest request;
+  request.pim = pim;
+  request.info = info;
+  request.schemes = {scheme};
+  request.requirements = {req};
+  std::vector<core::VerifyReport> results;
   for (const unsigned jobs : {1u, 8u}) {
-    core::FrameworkOptions options;
-    options.explore = jobs_opts(jobs);
-    results.push_back(core::run_framework(pim, info, scheme, req, options));
+    request.options.explore = jobs_opts(jobs);
+    results.push_back(core::Verifier().verify(request));
   }
-  EXPECT_EQ(results[0].summary(), results[1].summary());
-  EXPECT_EQ(results[0].bounds.input_delays.at(0).verified, 14);
-  EXPECT_EQ(results[0].bounds.output_delays.at(0).verified, 3);
-  EXPECT_EQ(results[0].bounds.lemma2_total, 97);
+  EXPECT_EQ(results[0].requirement_summary(0, 0), results[1].requirement_summary(0, 0));
+  const core::BoundAnalysis& bounds = results[0].schemes[0].requirements[0].bounds;
+  EXPECT_EQ(bounds.input_delays.at(0).verified, 14);
+  EXPECT_EQ(bounds.output_delays.at(0).verified, 3);
+  EXPECT_EQ(bounds.lemma2_total, 97);
 
   // Every verified figure of the pipeline, re-derived by the oracle on the
   // same instrumented PSM: per-variable delays and the end-to-end M-C delay.
   const core::PsmArtifacts psm = core::transform(pim, info, scheme);
   const core::InstrumentedPsm instrumented = core::instrument_psm_for_requirement(psm, req);
   const mc::ExploreOptions opts = jobs_opts(1);
-  ASSERT_EQ(psm.inputs.size(), results[0].bounds.input_delays.size());
+  ASSERT_EQ(psm.inputs.size(), bounds.input_delays.size());
   for (std::size_t i = 0; i < psm.inputs.size(); ++i) {
     const mc::MaxClockResult oracle =
         probe_max_clock_value(instrumented.net, mc::when(var_eq(psm.inputs[i].pending, 1)),
                               psm.inputs[i].delay_clock, 100'000, opts, 64);
     ASSERT_TRUE(oracle.bounded);
-    EXPECT_EQ(oracle.bound, results[0].bounds.input_delays[i].verified) << "input " << i;
+    EXPECT_EQ(oracle.bound, bounds.input_delays[i].verified) << "input " << i;
   }
-  ASSERT_EQ(psm.outputs.size(), results[0].bounds.output_delays.size());
+  ASSERT_EQ(psm.outputs.size(), bounds.output_delays.size());
   for (std::size_t i = 0; i < psm.outputs.size(); ++i) {
     const mc::MaxClockResult oracle =
         probe_max_clock_value(instrumented.net, mc::when(var_eq(psm.outputs[i].pending, 1)),
                               psm.outputs[i].delay_clock, 100'000, opts, 64);
     ASSERT_TRUE(oracle.bounded);
-    EXPECT_EQ(oracle.bound, results[0].bounds.output_delays[i].verified) << "output " << i;
+    EXPECT_EQ(oracle.bound, bounds.output_delays[i].verified) << "output " << i;
   }
   const mc::MaxClockResult mc_oracle = probe_max_clock_value(
       instrumented.net, mc::when(var_eq(instrumented.mc_probe.pending, 1)),
       instrumented.mc_probe.clock, 100'000, opts, 64);
   ASSERT_TRUE(mc_oracle.bounded);
-  EXPECT_EQ(mc_oracle.bound, results[0].bounds.verified_mc_delay);
+  EXPECT_EQ(mc_oracle.bound, bounds.verified_mc_delay);
 }
 
 // --- Seeded randomized networks ---------------------------------------------
@@ -318,11 +319,9 @@ TEST(SlackRankingProperty, SeededNetworksRankingsBitIdenticalAcrossJobs) {
 // --- Session reuse -----------------------------------------------------------
 
 TEST(SessionReuse, BatchedAndOneOffAndCachedQueriesAgree) {
-  gpca::PumpModelOptions opt;
-  opt.include_empty_syringe = false;
-  const Network pim = gpca::build_pump_pim(opt);
-  const core::PimInfo info = gpca::pump_pim_info(pim);
-  const core::PsmArtifacts psm = core::transform(pim, info, gpca::board_scheme(opt));
+  const Network pim = parse_model_file("pump.psv");
+  const core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
+  const core::PsmArtifacts psm = core::transform(pim, info, parse_scheme_file("board.pss"));
 
   std::vector<mc::BoundQuery> batch;
   for (const core::InputArtifacts& in : psm.inputs) {
@@ -437,11 +436,9 @@ TEST(SessionReuse, RefinementWorkIsAccounted) {
 }
 
 TEST(SessionReuse, RepeatedFlagChecksShareOneExploration) {
-  gpca::PumpModelOptions opt;
-  opt.include_empty_syringe = false;
-  const Network pim = gpca::build_pump_pim(opt);
-  const core::PimInfo info = gpca::pump_pim_info(pim);
-  const core::PsmArtifacts psm = core::transform(pim, info, gpca::board_scheme(opt));
+  const Network pim = parse_model_file("pump.psv");
+  const core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
+  const core::PsmArtifacts psm = core::transform(pim, info, parse_scheme_file("board.pss"));
 
   mc::VerificationSession session(psm.psm, {});
   const core::ConstraintReport first = core::check_constraints(session, psm);
@@ -507,11 +504,9 @@ TEST(IncrementalExploration, SeededPerturbedNetsWarmMatchesColdAcrossJobs) {
 }
 
 TEST(SessionReuse, SessionBackedPipelineMatchesLegacyPaths) {
-  const std::string dir = find_model_dir();
-  if (dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
-  const Network pim = lang::parse_model(read_file(dir + "quickstart.psv"));
+  const Network pim = parse_model_file("quickstart.psv");
   const core::PimInfo info = core::analyze_pim(pim);
-  const core::ImplementationScheme scheme = lang::parse_scheme(read_file(dir + "fast.pss"));
+  const core::ImplementationScheme scheme = parse_scheme_file("fast.pss");
   const core::PsmArtifacts psm = core::transform(pim, info, scheme);
   const core::TimingRequirement req{"QREQ", "Req", "Ack", 80};
 

@@ -3,7 +3,7 @@
 // session sharing, scheme comparison, pooling, and thread-safety.
 //
 // The heavyweight pump equivalence proof (3-requirement batch bit-identical
-// to three run_framework() calls with ONE PSM exploration) lives in
+// to three single-requirement requests with ONE PSM exploration) lives in
 // verifier_test.cpp under the exhaustive label.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/framework.h"
 #include "core/service.h"
 #include "lang/model_parser.h"
 #include "lang/scheme_parser.h"
@@ -22,24 +21,23 @@
 namespace psv {
 namespace {
 
-using psv::testing::find_model_dir;
-using psv::testing::read_file;
+using psv::testing::parse_model_file;
+using psv::testing::parse_scheme_file;
 
 struct QuickstartFixture {
-  ta::Network pim;
-  core::PimInfo info;
-  core::ImplementationScheme fast_scheme;
-  core::ImplementationScheme late_scheme;
-  bool ok = false;
+  ta::Network pim = parse_model_file("quickstart.psv");
+  core::PimInfo info = core::analyze_pim(pim);
+  core::ImplementationScheme fast_scheme = parse_scheme_file("fast.pss");
+  core::ImplementationScheme late_scheme = parse_scheme_file("late.pss");
 
-  QuickstartFixture() {
-    const std::string dir = find_model_dir();
-    if (dir.empty()) return;
-    pim = lang::parse_model(read_file(dir + "quickstart.psv"));
-    info = core::analyze_pim(pim);
-    fast_scheme = lang::parse_scheme(read_file(dir + "fast.pss"));
-    late_scheme = lang::parse_scheme(read_file(dir + "late.pss"));
-    ok = true;
+  /// A one-requirement request against the fast scheme.
+  core::VerifyRequest single(const core::TimingRequirement& req) const {
+    core::VerifyRequest request;
+    request.pim = pim;
+    request.info = info;
+    request.schemes = {fast_scheme};
+    request.requirements = {req};
+    return request;
   }
 };
 
@@ -49,9 +47,8 @@ std::vector<core::TimingRequirement> quickstart_requirements() {
           {"QWIDE", "Req", "Ack", 300}};
 }
 
-TEST(VerifierService, BatchMatchesSequentialRunFramework) {
+TEST(VerifierService, BatchMatchesSequentialSingleRequests) {
   QuickstartFixture fx;
-  if (!fx.ok) GTEST_SKIP() << "example model files not found from test cwd";
   const std::vector<core::TimingRequirement> reqs = quickstart_requirements();
 
   core::Verifier verifier;
@@ -67,18 +64,19 @@ TEST(VerifierService, BatchMatchesSequentialRunFramework) {
 
   // Bit-identical bounds and verdicts against independent single runs.
   for (std::size_t r = 0; r < reqs.size(); ++r) {
-    const core::FrameworkResult single =
-        core::run_framework(fx.pim, fx.info, fx.fast_scheme, reqs[r]);
+    const core::SchemeVerification single_sv =
+        core::Verifier().verify(fx.single(reqs[r])).schemes.at(0);
+    const core::RequirementResult& single = single_sv.requirements.at(0);
     const core::RequirementResult& batched = report.schemes.front().requirements[r];
     EXPECT_EQ(single.bounds.to_string(), batched.bounds.to_string()) << reqs[r].name;
     EXPECT_EQ(single.pim.max_delay, batched.pim.max_delay) << reqs[r].name;
     EXPECT_EQ(single.pim.holds, batched.pim.holds) << reqs[r].name;
     EXPECT_EQ(single.psm_meets_original, batched.psm_meets_original) << reqs[r].name;
     EXPECT_EQ(single.psm_meets_relaxed, batched.psm_meets_relaxed) << reqs[r].name;
-    ASSERT_EQ(single.constraints.checks.size(),
+    ASSERT_EQ(single_sv.constraints.checks.size(),
               report.schemes.front().constraints.checks.size());
-    for (std::size_t c = 0; c < single.constraints.checks.size(); ++c)
-      EXPECT_EQ(single.constraints.checks[c].holds,
+    for (std::size_t c = 0; c < single_sv.constraints.checks.size(); ++c)
+      EXPECT_EQ(single_sv.constraints.checks[c].holds,
                 report.schemes.front().constraints.checks[c].holds);
   }
 
@@ -92,7 +90,6 @@ TEST(VerifierService, BatchMatchesSequentialRunFramework) {
 
 TEST(VerifierService, CandidateSchemesShareStageOneAndCompete) {
   QuickstartFixture fx;
-  if (!fx.ok) GTEST_SKIP() << "example model files not found from test cwd";
 
   core::Verifier verifier;
   core::VerifyRequest request;
@@ -125,7 +122,6 @@ TEST(VerifierService, CandidateSchemesShareStageOneAndCompete) {
 
 TEST(VerifierService, SessionPoolServesRepeatRequestsWithoutExploration) {
   QuickstartFixture fx;
-  if (!fx.ok) GTEST_SKIP() << "example model files not found from test cwd";
 
   core::Verifier verifier;
   core::VerifyRequest request;
@@ -139,8 +135,8 @@ TEST(VerifierService, SessionPoolServesRepeatRequestsWithoutExploration) {
   const core::VerifyReport warm = verifier.verify(request);
 
   // Same verdicts and bounds, zero fresh exploration anywhere.
-  EXPECT_EQ(core::framework_result_from(cold, 0, 0).bounds.to_string(),
-            core::framework_result_from(warm, 0, 0).bounds.to_string());
+  EXPECT_EQ(cold.schemes.at(0).requirements.at(0).bounds.to_string(),
+            warm.schemes.at(0).requirements.at(0).bounds.to_string());
   EXPECT_EQ(warm.pim_stages.front().explorations, 0);
   EXPECT_EQ(warm.pim_stages.front().explore.states_explored, 0u);
   EXPECT_EQ(warm.explorations_in("constraints"), 0);
@@ -149,7 +145,6 @@ TEST(VerifierService, SessionPoolServesRepeatRequestsWithoutExploration) {
 
 TEST(VerifierService, PoolCapEvictsLeastRecentlyUsed) {
   QuickstartFixture fx;
-  if (!fx.ok) GTEST_SKIP() << "example model files not found from test cwd";
 
   core::Verifier::Config config;
   config.max_sessions = 1;
@@ -173,7 +168,6 @@ TEST(VerifierService, PoolCapEvictsLeastRecentlyUsed) {
 
 TEST(VerifierService, ConcurrentCallersShareOneVerifier) {
   QuickstartFixture fx;
-  if (!fx.ok) GTEST_SKIP() << "example model files not found from test cwd";
   const std::vector<core::TimingRequirement> reqs = quickstart_requirements();
 
   core::Verifier verifier;
@@ -425,7 +419,6 @@ TEST(VerifierService, BindingRequirementDiffersPerSchemeWithMixedVerdicts) {
 
 TEST(VerifierService, RejectsEmptyRequests) {
   QuickstartFixture fx;
-  if (!fx.ok) GTEST_SKIP() << "example model files not found from test cwd";
   core::Verifier verifier;
   core::VerifyRequest no_reqs;
   no_reqs.pim = fx.pim;
@@ -437,22 +430,21 @@ TEST(VerifierService, RejectsEmptyRequests) {
   EXPECT_THROW(verifier.verify(no_schemes), Error);
 }
 
-TEST(VerifierService, WrapperMatchesDirectServiceUse) {
+TEST(VerifierService, RequirementSummaryRendersOneCell) {
   QuickstartFixture fx;
-  if (!fx.ok) GTEST_SKIP() << "example model files not found from test cwd";
-  const core::TimingRequirement req{"QREQ", "Req", "Ack", 80};
+  core::VerifyRequest request = fx.single({"QREQ", "Req", "Ack", 80});
+  request.requirements.push_back({"QTIGHT", "Req", "Ack", 40});
+  const core::VerifyReport report = core::Verifier().verify(request);
 
-  const core::FrameworkResult wrapped =
-      core::run_framework(fx.pim, fx.info, fx.fast_scheme, req);
-  core::Verifier verifier;
-  core::VerifyRequest request;
-  request.pim = fx.pim;
-  request.info = fx.info;
-  request.schemes = {fx.fast_scheme};
-  request.requirements = {req};
-  const core::FrameworkResult direct =
-      core::framework_result_from(verifier.verify(request), 0, 0);
-  EXPECT_EQ(wrapped.summary(), direct.summary());
+  const std::string tight = report.requirement_summary(0, 1);
+  EXPECT_EQ(tight.rfind("=== Platform-specific timing verification: QTIGHT ===\n", 0), 0u)
+      << tight;
+  for (const char* step : {"[1] PIM verification", "[2] PSM construction (",
+                           "[3] boundedness constraints", "[4] delay bounds",
+                           "[5] requirement on the PSM", "PSM |= P(40)? NO"})
+    EXPECT_NE(tight.find(step), std::string::npos) << step << "\n" << tight;
+  EXPECT_THROW(report.requirement_summary(1, 0), Error);
+  EXPECT_THROW(report.requirement_summary(0, 2), Error);
 }
 
 }  // namespace

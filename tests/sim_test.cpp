@@ -2,10 +2,12 @@
 // trace replayer's error paths.
 #include <gtest/gtest.h>
 
+#include "core/pim.h"
 #include "core/transform.h"
-#include "gpca/pump_model.h"
+#include "lang/scheme_parser.h"
 #include "mc/query.h"
 #include "mc/session.h"
+#include "model_paths.h"
 #include "sim/kernel.h"
 #include "sim/platform.h"
 #include "sim/replay.h"
@@ -17,6 +19,12 @@ namespace psv::sim {
 namespace {
 
 using psv::Error;
+using psv::testing::parse_model_file;
+using psv::testing::parse_scheme_file;
+
+core::TimingRequirement req1() {
+  return lang::parse_requirement("REQ1: BolusReq -> StartInfusion within 500");
+}
 
 TEST(Kernel, EventsFireInTimeOrder) {
   Kernel k;
@@ -69,9 +77,9 @@ TEST(Kernel, PastSchedulingRejected) {
 // --- Platform ----------------------------------------------------------------
 
 struct PumpFixture {
-  ta::Network pim = gpca::build_pump_pim();
-  core::PimInfo info = gpca::pump_pim_info(pim);
-  core::ImplementationScheme scheme = gpca::board_scheme();
+  ta::Network pim = parse_model_file("pump_syringe.psv");
+  core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
+  core::ImplementationScheme scheme = parse_scheme_file("board_syringe.pss");
 };
 
 TEST(Platform, BolusRequestFlowsThroughAllBoundaries) {
@@ -103,7 +111,7 @@ TEST(Platform, EventTimesAreMonotonicPerTransaction) {
   kernel.schedule_at(ms(100), [&] { platform.inject_input("BolusReq"); });
   kernel.run_until(ms(10000));
 
-  auto result = extract_delays(platform.events(), gpca::req1());
+  auto result = extract_delays(platform.events(), req1());
   ASSERT_TRUE(result.has_value());
   EXPECT_GT(result->mi_ms, 0.0);
   EXPECT_GT(result->oc_ms, 0.0);
@@ -149,7 +157,7 @@ TEST(Runner, ExtractDelaysPairsBoundaries) {
       {ms(400), Boundary::kProgramOut, "StartInfusion"},
       {ms(600), Boundary::kControlled, "StartInfusion"},
   };
-  auto r = extract_delays(events, gpca::req1());
+  auto r = extract_delays(events, req1());
   ASSERT_TRUE(r.has_value());
   EXPECT_DOUBLE_EQ(r->mc_ms, 500.0);
   EXPECT_DOUBLE_EQ(r->mi_ms, 50.0);
@@ -161,7 +169,7 @@ TEST(Runner, ExtractDelaysIncompleteStream) {
       {ms(100), Boundary::kMonitored, "BolusReq"},
       {ms(150), Boundary::kProgramIn, "BolusReq"},
   };
-  EXPECT_FALSE(extract_delays(events, gpca::req1()).has_value());
+  EXPECT_FALSE(extract_delays(events, req1()).has_value());
 }
 
 TEST(Runner, ExtractDelaysIgnoresOtherSignals) {
@@ -175,7 +183,7 @@ TEST(Runner, ExtractDelaysIgnoresOtherSignals) {
       {ms(500), Boundary::kControlled, "StopInfusion"},
       {ms(600), Boundary::kControlled, "StartInfusion"},
   };
-  auto r = extract_delays(events, gpca::req1());
+  auto r = extract_delays(events, req1());
   ASSERT_TRUE(r.has_value());
   EXPECT_DOUBLE_EQ(r->mc_ms, 500.0);
 }
@@ -185,8 +193,8 @@ TEST(Runner, BatchIsDeterministicPerSeed) {
   MeasurementConfig config;
   config.scenarios = 10;
   config.seed = 99;
-  MeasurementSummary a = measure_requirement(f.pim, f.info, f.scheme, gpca::req1(), config);
-  MeasurementSummary b = measure_requirement(f.pim, f.info, f.scheme, gpca::req1(), config);
+  MeasurementSummary a = measure_requirement(f.pim, f.info, f.scheme, req1(), config);
+  MeasurementSummary b = measure_requirement(f.pim, f.info, f.scheme, req1(), config);
   ASSERT_EQ(a.scenarios.size(), b.scenarios.size());
   for (std::size_t i = 0; i < a.scenarios.size(); ++i)
     EXPECT_DOUBLE_EQ(a.scenarios[i].mc_ms, b.scenarios[i].mc_ms);
@@ -197,7 +205,7 @@ TEST(Runner, BatchStatisticsSane) {
   MeasurementConfig config;
   config.scenarios = 30;
   config.seed = 2015;
-  MeasurementSummary s = measure_requirement(f.pim, f.info, f.scheme, gpca::req1(), config);
+  MeasurementSummary s = measure_requirement(f.pim, f.info, f.scheme, req1(), config);
   EXPECT_EQ(s.incomplete, 0);
   EXPECT_EQ(s.buffer_overflows, 0);
   EXPECT_LE(s.mi.min, s.mi.mean + 1e-9);
@@ -223,17 +231,24 @@ TEST(Runner, ViolationCounting) {
   EXPECT_EQ(s.violations(1000.0), 0);
 }
 
+TEST(Calibration, UnknownNamesFallBackToDefaults) {
+  SimCalibration cal;
+  cal.outputs["StartInfusion"] = DelayCalibration{0.6, 0.3};
+  EXPECT_DOUBLE_EQ(cal.output("StartInfusion").observed_spread, 0.6);
+  const DelayCalibration& other = cal.output("NoSuchOutput");
+  EXPECT_DOUBLE_EQ(other.observed_spread, cal.fallback.observed_spread);
+  EXPECT_DOUBLE_EQ(cal.input("NoSuchInput").mode_fraction, cal.fallback.mode_fraction);
+}
+
 // --- Replay error paths ---------------------------------------------------
 
 // A tampered trace must be rejected with the EXACT first-mismatch step —
 // replay errors are what the CI differential gates print, so their
 // positions have to be trustworthy.
 TEST(Replay, ReportsExactFirstMismatchStepOnTamperedState) {
-  gpca::PumpModelOptions opt;
-  opt.include_empty_syringe = false;
-  const ta::Network pim = gpca::build_pump_pim(opt);
-  const core::PimInfo info = gpca::pump_pim_info(pim);
-  const core::PsmArtifacts psm = core::transform(pim, info, gpca::board_scheme(opt));
+  const ta::Network pim = parse_model_file("pump.psv");
+  const core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
+  const core::PsmArtifacts psm = core::transform(pim, info, parse_scheme_file("board.pss"));
   const core::InputArtifacts& in = psm.input("BolusReq");
   mc::VerificationSession session(psm.psm);
   const mc::MaxClockResult result = session.max_clock_value(

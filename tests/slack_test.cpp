@@ -19,7 +19,6 @@
 #include "core/pim.h"
 #include "core/service.h"
 #include "core/transform.h"
-#include "gpca/pump_model.h"
 #include "lang/model_parser.h"
 #include "lang/scheme_parser.h"
 #include "mc/query.h"
@@ -33,8 +32,8 @@ namespace psv {
 namespace {
 
 using namespace psv::ta;
-using psv::testing::find_model_dir;
-using psv::testing::read_file;
+using psv::testing::parse_model_file;
+using psv::testing::parse_scheme_file;
 
 // Replay every ranked witness of `result` through `net` and check it
 // attains its reported value. `exact_upper` is true for sweep-engine
@@ -71,11 +70,9 @@ void expect_ranked_replayable(const ta::Network& net, const mc::MaxClockResult& 
 // --- Pump case study: top-K traces replay to their reported delays --------
 
 TEST(SlackTraces, PumpTopKTracesReplayExactlySweep) {
-  gpca::PumpModelOptions opt;
-  opt.include_empty_syringe = false;
-  const Network pim = gpca::build_pump_pim(opt);
-  const core::PimInfo info = gpca::pump_pim_info(pim);
-  const core::PsmArtifacts psm = core::transform(pim, info, gpca::board_scheme(opt));
+  const Network pim = parse_model_file("pump.psv");
+  const core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
+  const core::PsmArtifacts psm = core::transform(pim, info, parse_scheme_file("board.pss"));
   const core::InputArtifacts& in = psm.input("BolusReq");
   const core::OutputArtifacts& out = psm.output("StartInfusion");
 
@@ -107,11 +104,9 @@ TEST(SlackTraces, PumpTopKTracesReplayExactlySweep) {
 }
 
 TEST(SlackTraces, PumpProbeWitnessReplays) {
-  gpca::PumpModelOptions opt;
-  opt.include_empty_syringe = false;
-  const Network pim = gpca::build_pump_pim(opt);
-  const core::PimInfo info = gpca::pump_pim_info(pim);
-  const core::PsmArtifacts psm = core::transform(pim, info, gpca::board_scheme(opt));
+  const Network pim = parse_model_file("pump.psv");
+  const core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
+  const core::PsmArtifacts psm = core::transform(pim, info, parse_scheme_file("board.pss"));
   const core::OutputArtifacts& out = psm.output("StartInfusion");
 
   const mc::StateFormula pred = mc::when(var_eq(out.pending, 1));
@@ -129,11 +124,9 @@ TEST(SlackTraces, PumpProbeWitnessReplays) {
 // Tampered traces must be rejected — the replayer is only a gate if it can
 // fail.
 TEST(SlackTraces, ReplayRejectsTamperedTraces) {
-  gpca::PumpModelOptions opt;
-  opt.include_empty_syringe = false;
-  const Network pim = gpca::build_pump_pim(opt);
-  const core::PimInfo info = gpca::pump_pim_info(pim);
-  const core::PsmArtifacts psm = core::transform(pim, info, gpca::board_scheme(opt));
+  const Network pim = parse_model_file("pump.psv");
+  const core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
+  const core::PsmArtifacts psm = core::transform(pim, info, parse_scheme_file("board.pss"));
   const core::InputArtifacts& in = psm.input("BolusReq");
 
   mc::VerificationSession session(psm.psm);
@@ -165,11 +158,9 @@ TEST(SlackTraces, ReplayRejectsTamperedTraces) {
 // --- Quickstart service surface: slack arithmetic + critical replay -------
 
 TEST(SlackReportService, QuickstartSlackIsExactAndCriticalTracesReplay) {
-  const std::string dir = find_model_dir();
-  if (dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
-  const Network pim = lang::parse_model(read_file(dir + "quickstart.psv"));
+  const Network pim = parse_model_file("quickstart.psv");
   const core::PimInfo info = core::analyze_pim(pim);
-  const core::ImplementationScheme scheme = lang::parse_scheme(read_file(dir + "fast.pss"));
+  const core::ImplementationScheme scheme = parse_scheme_file("fast.pss");
   const std::vector<core::TimingRequirement> reqs = {
       {"QREQ", "Req", "Ack", 80}, {"QTIGHT", "Req", "Ack", 40}, {"QWIDE", "Req", "Ack", 300}};
 
@@ -231,11 +222,9 @@ TEST(SlackReportService, QuickstartSlackIsExactAndCriticalTracesReplay) {
 
 // top_k = 0 disables retention without disturbing bounds or verdicts.
 TEST(SlackReportService, TopKZeroKeepsVerdictsDropsTraces) {
-  const std::string dir = find_model_dir();
-  if (dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
-  const Network pim = lang::parse_model(read_file(dir + "quickstart.psv"));
+  const Network pim = parse_model_file("quickstart.psv");
   const core::PimInfo info = core::analyze_pim(pim);
-  const core::ImplementationScheme scheme = lang::parse_scheme(read_file(dir + "fast.pss"));
+  const core::ImplementationScheme scheme = parse_scheme_file("fast.pss");
 
   core::VerifyRequest request;
   request.pim = pim;

@@ -22,22 +22,12 @@
 namespace psv {
 namespace {
 
-using psv::testing::find_model_dir;
-using psv::testing::read_file;
+using psv::testing::read_model;
 
 /// Quickstart synthesis sources: the 8-candidate io.period sweep.
 struct Sources {
-  std::string model;
-  std::string template_source;
-  bool ok = false;
-
-  Sources() {
-    const std::string dir = find_model_dir();
-    if (dir.empty()) return;
-    model = read_file(dir + "quickstart.psv");
-    template_source = read_file(dir + "fast_sweep.pss");
-    ok = true;
-  }
+  std::string model = read_model("quickstart.psv");
+  std::string template_source = read_model("fast_sweep.pss");
 
   core::SynthRequest request(unsigned workers = 0, std::uint64_t visit_seed = 0,
                              bool prune = true) const {
@@ -54,7 +44,6 @@ struct Sources {
 
 TEST(SchemeTemplate, EnumeratesTheSweepLattice) {
   Sources src;
-  if (!src.ok) GTEST_SKIP() << "example model files not found from test cwd";
   const core::SchemeTemplate tmpl = lang::parse_scheme_template(src.template_source);
   ASSERT_EQ(tmpl.axes.size(), 1u);
   EXPECT_EQ(tmpl.axes.front().label(), "output.Ack.delay_max");
@@ -76,7 +65,6 @@ TEST(SchemeTemplate, EnumeratesTheSweepLattice) {
 
 TEST(SchemeSynthesizer, FrontierIdenticalAcrossWorkersOrdersAndPruning) {
   Sources src;
-  if (!src.ok) GTEST_SKIP() << "example model files not found from test cwd";
 
   std::string reference;
   for (const unsigned workers : {1u, 2u}) {
@@ -104,7 +92,6 @@ TEST(SchemeSynthesizer, FrontierIdenticalAcrossWorkersOrdersAndPruning) {
 
 TEST(SchemeSynthesizer, PrunedCandidatesReverifyColdAsFailing) {
   Sources src;
-  if (!src.ok) GTEST_SKIP() << "example model files not found from test cwd";
 
   core::Verifier verifier;
   core::SchemeSynthesizer synthesizer(verifier);
@@ -138,7 +125,6 @@ TEST(SchemeSynthesizer, PrunedCandidatesReverifyColdAsFailing) {
 
 TEST(SchemeSynthesizer, WarmStartsEveryExplorationAfterTheFirst) {
   Sources src;
-  if (!src.ok) GTEST_SKIP() << "example model files not found from test cwd";
 
   core::Verifier verifier;
   core::SchemeSynthesizer synthesizer(verifier);
@@ -155,7 +141,6 @@ TEST(SchemeSynthesizer, WarmStartsEveryExplorationAfterTheFirst) {
 
 TEST(SchemeSynthesizer, FeasibilityFrontierNamesTheTightestWitness) {
   Sources src;
-  if (!src.ok) GTEST_SKIP() << "example model files not found from test cwd";
 
   core::Verifier verifier;
   core::SchemeSynthesizer synthesizer(verifier);
@@ -186,7 +171,6 @@ TEST(SchemeSynthesizer, FeasibilityFrontierNamesTheTightestWitness) {
 
 TEST(Verifier, PreFiredCancelTokenAbortsWithKCancelled) {
   Sources src;
-  if (!src.ok) GTEST_SKIP() << "example model files not found from test cwd";
 
   core::SynthRequest request = src.request(1);
   core::VerifyRequest verify;
@@ -213,7 +197,6 @@ TEST(Verifier, PreFiredCancelTokenAbortsWithKCancelled) {
 
 TEST(SchemeSynthesizer, RejectsInvalidRequests) {
   Sources src;
-  if (!src.ok) GTEST_SKIP() << "example model files not found from test cwd";
 
   core::Verifier verifier;
   core::SchemeSynthesizer synthesizer(verifier);

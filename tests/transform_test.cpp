@@ -6,7 +6,7 @@
 
 #include "core/analysis.h"
 #include "core/constraints.h"
-#include "core/framework.h"
+#include "core/service.h"
 #include "mc/query.h"
 #include "ta/print.h"
 #include "util/error.h"
@@ -284,18 +284,24 @@ TEST(Framework, EndToEndPipeline) {
   // the original bound (which the PIM meets exactly) breaks on the PSM.
   ImplementationScheme is = mini_scheme();
   is.io.period = 60;
-  FrameworkOptions opts;
-  opts.search_limit = 10'000;
-  FrameworkResult result = run_framework(pim, info, is, req, opts);
+  VerifyRequest request;
+  request.pim = pim;
+  request.info = info;
+  request.schemes = {is};
+  request.requirements = {req};
+  request.options.search_limit = 10'000;
+  const VerifyReport report = Verifier().verify(request);
+  const SchemeVerification& sv = report.schemes.at(0);
+  const RequirementResult& result = sv.requirements.at(0);
 
   EXPECT_TRUE(result.pim.holds);
   EXPECT_EQ(result.pim.max_delay, 100);  // Busy invariant x<=100
-  EXPECT_TRUE(result.constraints.all_hold()) << result.constraints.to_string();
+  EXPECT_TRUE(sv.constraints.all_hold()) << sv.constraints.to_string();
   EXPECT_FALSE(result.psm_meets_original)
       << "platform delays must break the original 100ms bound";
   EXPECT_TRUE(result.psm_meets_relaxed);
   EXPECT_LE(result.bounds.verified_mc_delay, result.bounds.lemma2_total);
-  const std::string summary = result.summary();
+  const std::string summary = report.requirement_summary(0, 0);
   EXPECT_NE(summary.find("MiniReq"), std::string::npos);
   EXPECT_NE(summary.find("Lemma 2"), std::string::npos);
 }

@@ -1,13 +1,12 @@
 // Batch-vs-sequential equivalence proof on the pump model (exhaustive
 // label): a 3-requirement batch must produce bit-identical bounds and
-// verdicts to three independent run_framework() calls, while exploring the
+// verdicts to three independent single-requirement requests, while exploring the
 // PSM state space ONCE (stages 3-5 combined) instead of once per pipeline.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "core/framework.h"
 #include "core/service.h"
 #include "lang/model_parser.h"
 #include "lang/scheme_parser.h"
@@ -17,15 +16,13 @@
 namespace psv {
 namespace {
 
-using psv::testing::find_model_dir;
-using psv::testing::read_file;
+using psv::testing::parse_model_file;
+using psv::testing::parse_scheme_file;
 
 TEST(VerifierPumpEquivalence, ThreeRequirementBatchMatchesThreeRuns) {
-  const std::string dir = find_model_dir();
-  if (dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
-  const ta::Network pim = lang::parse_model(read_file(dir + "pump.psv"));
+  const ta::Network pim = parse_model_file("pump.psv");
   const core::PimInfo info = core::analyze_pim(pim);
-  const core::ImplementationScheme scheme = lang::parse_scheme(read_file(dir + "board.pss"));
+  const core::ImplementationScheme scheme = parse_scheme_file("board.pss");
   const std::vector<core::TimingRequirement> reqs = {
       {"REQ1", "BolusReq", "StartInfusion", 500},
       {"REQ2", "BolusReq", "StopInfusion", 2500},
@@ -62,7 +59,11 @@ TEST(VerifierPumpEquivalence, ThreeRequirementBatchMatchesThreeRuns) {
   // --- Bit-identical bounds/verdicts vs three independent pipelines. --------
   std::size_t sequential_psm_explorations = 0;
   for (std::size_t r = 0; r < reqs.size(); ++r) {
-    const core::FrameworkResult single = core::run_framework(pim, info, scheme, reqs[r]);
+    core::VerifyRequest one = request;
+    one.requirements = {reqs[r]};
+    const core::VerifyReport single_report = core::Verifier().verify(one);
+    const core::SchemeVerification& single_sv = single_report.schemes.at(0);
+    const core::RequirementResult& single = single_sv.requirements.at(0);
     const core::RequirementResult& batched = sv.requirements[r];
     EXPECT_EQ(single.bounds.to_string(), batched.bounds.to_string()) << reqs[r].name;
     EXPECT_EQ(single.pim.max_delay, batched.pim.max_delay) << reqs[r].name;
@@ -70,15 +71,14 @@ TEST(VerifierPumpEquivalence, ThreeRequirementBatchMatchesThreeRuns) {
     EXPECT_EQ(single.pim.bounded, batched.pim.bounded) << reqs[r].name;
     EXPECT_EQ(single.psm_meets_original, batched.psm_meets_original) << reqs[r].name;
     EXPECT_EQ(single.psm_meets_relaxed, batched.psm_meets_relaxed) << reqs[r].name;
-    ASSERT_EQ(single.constraints.checks.size(), sv.constraints.checks.size()) << reqs[r].name;
-    for (std::size_t c = 0; c < single.constraints.checks.size(); ++c) {
-      EXPECT_EQ(single.constraints.checks[c].id, sv.constraints.checks[c].id);
-      EXPECT_EQ(single.constraints.checks[c].holds, sv.constraints.checks[c].holds)
+    ASSERT_EQ(single_sv.constraints.checks.size(), sv.constraints.checks.size()) << reqs[r].name;
+    for (std::size_t c = 0; c < single_sv.constraints.checks.size(); ++c) {
+      EXPECT_EQ(single_sv.constraints.checks[c].id, sv.constraints.checks[c].id);
+      EXPECT_EQ(single_sv.constraints.checks[c].holds, sv.constraints.checks[c].holds)
           << sv.constraints.checks[c].name;
     }
-    for (const core::StageStats& stage : single.stages)
-      if (stage.name == "constraints" || stage.name == "bounds")
-        sequential_psm_explorations += static_cast<std::size_t>(stage.explorations);
+    sequential_psm_explorations += static_cast<std::size_t>(
+        single_report.explorations_in("constraints") + single_report.explorations_in("bounds"));
   }
   // Three sequential pipelines each pay for their own sweep.
   EXPECT_GE(sequential_psm_explorations, reqs.size());
@@ -93,11 +93,9 @@ TEST(VerifierPumpEquivalence, ThreeRequirementBatchMatchesThreeRuns) {
 }
 
 TEST(VerifierPumpEquivalence, SessionStatsExposeSharedWork) {
-  const std::string dir = find_model_dir();
-  if (dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
-  const ta::Network pim = lang::parse_model(read_file(dir + "pump.psv"));
+  const ta::Network pim = parse_model_file("pump.psv");
   const core::PimInfo info = core::analyze_pim(pim);
-  const core::ImplementationScheme scheme = lang::parse_scheme(read_file(dir + "board.pss"));
+  const core::ImplementationScheme scheme = parse_scheme_file("board.pss");
   const std::vector<core::TimingRequirement> reqs = {
       {"REQ1", "BolusReq", "StartInfusion", 500},
       {"REQ2", "BolusReq", "StopInfusion", 2500},

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "codegen/cemit.h"
-#include "core/framework.h"
 #include "core/report_serde.h"
 #include "core/service.h"
 #include "core/synth.h"
@@ -170,7 +169,8 @@ psv::cli::Parser make_parser(CliOptions& cli) {
               "in-process runtime monitor: concretize the worst-case\n"
               "event schedule and print 'monitor:' verdict lines\n"
               "(PASS traces must be accepted; FAIL traces must be\n"
-              "flagged at the exact violation timestamp)");
+              "flagged at the exact violation timestamp); needs\n"
+              "--top-k >= 1");
   parser.flag("--monitor-events", &cli.monitor_events_path, "FILE",
               "with --monitor-check: dump the concretized event\n"
               "streams (TRACE/OBS/END lines) to FILE — the input\n"
@@ -735,6 +735,10 @@ int main(int argc, char** argv) {
                    "--emit-code/--emit-monitor/--monitor-check need the single-model form");
     PSV_REQUIRE_AS(psv::ErrorCode::kParse, cli.monitor_events_path.empty() || cli.monitor_check,
                    "--monitor-events needs --monitor-check");
+    // --monitor-check replays the retained critical traces; with none
+    // retained it would check nothing and still exit 0.
+    PSV_REQUIRE_AS(psv::ErrorCode::kParse, !cli.monitor_check || cli.top_k != 0,
+                   "--monitor-check needs retained critical traces (--top-k >= 1)");
     psv::core::VerifyOptions options;
     options.search_limit = cli.limit;
     options.explore.jobs = cli.jobs;
@@ -850,7 +854,7 @@ int main(int argc, char** argv) {
         // is deterministic — so this summary is identical in both modes.
         if (!cli.connect.empty())
           outcome.report.schemes.front().psm = psv::core::transform(*pim, *info, *scheme);
-        std::cout << psv::core::framework_result_from(outcome.report, 0, 0).summary() << "\n";
+        std::cout << outcome.report.requirement_summary(0, 0) << "\n";
       } else {
         std::cout << outcome.report.summary() << "\n";
       }
