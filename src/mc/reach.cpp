@@ -67,32 +67,45 @@ Reachability::Reachability(const ta::Network& net, const StateFormula& goal, Exp
 
 Reachability::~Reachability() = default;
 
+std::optional<std::uint32_t> Reachability::find_cover(const Shard& shard,
+                                                      const std::vector<std::uint32_t>& bucket,
+                                                      const SymState& state) {
+  for (std::uint32_t idx : bucket) {
+    const Stored& existing = shard.arena[idx];
+    if (existing.state.same_discrete(state) && existing.state.zone.includes(state.zone))
+      return idx;
+  }
+  return std::nullopt;
+}
+
+void Reachability::evict_covered(Shard& shard, std::vector<std::uint32_t>& bucket,
+                                 const SymState& state) {
+  // Arena entries stay (parent chains, traces and the export need them);
+  // the dead bit keeps them out of every frontier assembled from now on.
+  std::erase_if(bucket, [&](std::uint32_t idx) {
+    Stored& existing = shard.arena[idx];
+    if (!existing.state.same_discrete(state) || !state.zone.includes(existing.state.zone))
+      return false;
+    existing.dead = true;
+    return true;
+  });
+}
+
 std::optional<std::uint64_t> Reachability::insert(GenSucc&& gs, std::uint64_t parent,
                                                   bool enforce_cap) {
   SymState& state = gs.state;
   const std::size_t shard_index = shard_of(gs.hash, kNumShards);
   Shard& shard = shards_[shard_index];
   auto& bucket = shard.passed[gs.hash];
-  for (std::uint32_t idx : bucket) {
-    const Stored& existing = shard.arena[idx];
-    if (existing.state.same_discrete(state) && existing.state.zone.includes(state.zone)) {
-      ++shard.subsumed;
-      // The subsumer now covers every behavior of the pruned successor; the
-      // export records that obligation against the parent.
-      if (capture_ && parent != kNoParent)
-        shard.cover_events.emplace_back(parent, pack_id(shard_index, idx));
-      return std::nullopt;
-    }
+  if (const auto idx = find_cover(shard, bucket, state)) {
+    ++shard.subsumed;
+    // The subsumer now covers every behavior of the pruned successor; the
+    // export records that obligation against the parent.
+    if (capture_ && parent != kNoParent)
+      shard.cover_events.emplace_back(parent, pack_id(shard_index, *idx));
+    return std::nullopt;
   }
-  // Drop stored zones strictly included in the new one from the inclusion
-  // list (their arena entries stay alive for parent chains).
-  bucket.erase(std::remove_if(bucket.begin(), bucket.end(),
-                              [&](std::uint32_t idx) {
-                                const Stored& existing = shard.arena[idx];
-                                return existing.state.same_discrete(state) &&
-                                       state.zone.includes(existing.state.zone);
-                              }),
-               bucket.end());
+  evict_covered(shard, bucket, state);
 
   // Sequential paths enforce the cap per insert (exact legacy behavior);
   // parallel waves skip it here — a check-then-act on the shared counter
@@ -216,11 +229,19 @@ void Reachability::insert_wave() {
   for (const Shard& shard : shards_)
     merged.insert(merged.end(), shard.accepted.begin(), shard.accepted.end());
   std::sort(merged.begin(), merged.end());
+  if (capture_)
+    for (const auto& [rank, id] : merged) order_.push_back(id);
+  assemble_frontier(merged);
+}
+
+void Reachability::assemble_frontier(
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& merged) {
+  // A zone evicted later in the same wave is covered by a live one with the
+  // same discrete state: expanding it would only regenerate subsumed work.
   next_frontier_.clear();
   next_frontier_.reserve(merged.size());
-  for (const auto& [rank, id] : merged) next_frontier_.push_back(id);
-  if (capture_)
-    for (const std::uint64_t id : next_frontier_) order_.push_back(id);
+  for (const auto& [rank, id] : merged)
+    if (!stored(id).dead) next_frontier_.push_back(id);
   frontier_.swap(next_frontier_);
 }
 
@@ -393,10 +414,7 @@ bool Reachability::insert_terminal_wave(ReachResult& result) {
   for (const Shard& shard : shards_)
     merged.insert(merged.end(), shard.accepted.begin(), shard.accepted.end());
   std::sort(merged.begin(), merged.end());
-  next_frontier_.clear();
-  next_frontier_.reserve(merged.size());
-  for (const auto& [rank, id] : merged) next_frontier_.push_back(id);
-  frontier_.swap(next_frontier_);
+  assemble_frontier(merged);
   return false;
 }
 
@@ -407,7 +425,7 @@ ExploreStats Reachability::explore_all(const std::function<void(const SymState&)
 
 ExploreStats Reachability::explore_all_ids(
     const std::function<void(const SymState&, std::uint64_t)>& visit) {
-  const bool warm = ancestor_ != nullptr && seed_from_store(visit, /*deadlock_mode=*/false);
+  const bool warm = ancestor_ != nullptr && seed_from_store(visit);
   if (!warm) seed_initial();
   // A warm start already visited every live seed during the import; the
   // first loop iteration must not visit them again.
@@ -441,10 +459,10 @@ DeadlockResult Reachability::find_deadlock_ids(
     const std::function<void(const SymState&, std::uint64_t)>& visit) {
   DeadlockResult result;
   std::optional<std::uint64_t> first_quiescent;
-  // Warm starts force childless cover-less seeds back into the frontier
-  // (deadlock_mode), so quiescence and timelocks are always re-detected by
-  // fresh generation below — never trusted from the ancestor run.
-  const bool warm = ancestor_ != nullptr && seed_from_store(visit, /*deadlock_mode=*/true);
+  // Warm starts force childless cover-less seeds back into the frontier, so
+  // quiescence and timelocks are always re-detected by fresh generation
+  // below — never trusted from the ancestor run.
+  const bool warm = ancestor_ != nullptr && seed_from_store(visit);
   if (!warm) seed_initial();
   bool skip_visit = warm;
   bool first_warm_wave = warm;
@@ -507,7 +525,7 @@ void Reachability::enable_capture() {
 }
 
 bool Reachability::seed_from_store(
-    const std::function<void(const SymState&, std::uint64_t)>& visit, bool deadlock_mode) {
+    const std::function<void(const SymState&, std::uint64_t)>& visit) {
   const PassedStoreExport& anc = *ancestor_;
   const std::size_t num_automata = static_cast<std::size_t>(net_.num_automata());
 
@@ -583,13 +601,12 @@ bool Reachability::seed_from_store(
   }
 
   // --- Import pass, in ordinal (deterministic exploration) order: derive
-  // each entry's zone EXACTLY under this network, seed the arena, and visit
-  // live seeds. Dropped entries (parent dropped, or replay emptied the
-  // zone) drop their whole subtree.
+  // each entry's zone EXACTLY under this network and seed the arena.
+  // Dropped entries (parent dropped, or replay emptied the zone) drop their
+  // whole subtree.
   const std::size_t n = anc.entries.size();
   std::vector<char> alive(n, 0);
   std::vector<char> unchanged(n, 0);
-  std::vector<char> accepted(n, 0);
   std::vector<char> has_live_child(n, 0);
   std::vector<dbm::Dbm> zones(n, dbm::Dbm(0));
   std::vector<std::uint64_t> packed(n, 0);
@@ -653,43 +670,35 @@ bool Reachability::seed_from_store(
     zones[i] = state.zone;
     if (i > 0) has_live_child[static_cast<std::size_t>(entry.parent)] = 1;
 
-    // Seed the arena unconditionally (seeds serve as parents and visit
-    // targets even when subsumed); the inclusion bucket only accepts
-    // non-subsumed zones, with the usual erase discipline.
+    // Seed the arena unconditionally (seeds serve as parents even when
+    // subsumed, which makes them dead on arrival); the inclusion bucket only
+    // accepts non-subsumed zones, with the usual eviction discipline.
     const std::size_t hash = state.discrete_hash();
     const std::size_t shard_index = shard_of(hash, kNumShards);
     Shard& shard = shards_[shard_index];
     auto& bucket = shard.passed[hash];
-    bool subsumed = false;
-    for (std::uint32_t idx : bucket) {
-      const Stored& existing = shard.arena[idx];
-      if (existing.state.same_discrete(state) && existing.state.zone.includes(state.zone)) {
-        subsumed = true;
-        break;
-      }
-    }
+    const bool subsumed = find_cover(shard, bucket, state).has_value();
     if (subsumed) {
       ++shard.subsumed;
     } else {
-      bucket.erase(std::remove_if(bucket.begin(), bucket.end(),
-                                  [&](std::uint32_t idx) {
-                                    const Stored& existing = shard.arena[idx];
-                                    return existing.state.same_discrete(state) &&
-                                           state.zone.includes(existing.state.zone);
-                                  }),
-                   bucket.end());
+      evict_covered(shard, bucket, state);
     }
     const std::size_t local = shard.arena.size();
     const std::uint64_t parent_id =
         i == 0 ? kNoParent : packed[static_cast<std::size_t>(entry.parent)];
     shard.arena.push_back(Stored{std::move(state), parent_id, entry.edges, std::move(pre),
-                                 pre_differs});
+                                 pre_differs, /*dead=*/subsumed});
     if (!subsumed) bucket.push_back(static_cast<std::uint32_t>(local));
     total_stored_.fetch_add(1, std::memory_order_relaxed);
     packed[i] = pack_id(shard_index, local);
-    accepted[i] = subsumed ? 0 : 1;
     if (capture_) order_.push_back(packed[i]);
-    if (visit) visit(shard.arena[local].state, packed[i]);
+  }
+
+  // Visit the seeds still live after the whole import, in ordinal order: a
+  // seed covered at or after its arrival is represented by its coverer.
+  if (visit) {
+    for (std::size_t i = 0; i < n; ++i)
+      if (alive[i] && !stored(packed[i]).dead) visit(stored(packed[i]).state, packed[i]);
   }
 
   // --- Cover carry-over for re-export: a pruned-successor obligation whose
@@ -715,7 +724,7 @@ bool Reachability::seed_from_store(
   // extrapolation — the extrapolation did not shrink: consts nondecreasing).
   frontier_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    if (!alive[i] || !accepted[i]) continue;
+    if (!alive[i] || stored(packed[i]).dead) continue;
     const StoreEntry& entry = anc.entries[i];
     bool closed = unchanged[i] != 0;
     for (std::size_t a = 0; a < num_automata && closed; ++a)
@@ -727,12 +736,11 @@ bool Reachability::seed_from_store(
         closed = alive[o] != 0 && unchanged[o] != 0;
       }
     }
-    bool expand = !closed;
-    // Deadlock searches never trust stored quiescence: childless cover-less
-    // seeds are re-expanded so quiescence and timelocks are always detected
-    // from this network's actual successor generation.
-    if (deadlock_mode && !has_live_child[i] && entry.covers.empty()) expand = true;
-    if (expand) frontier_.push_back(packed[i]);
+    // Childless cover-less seeds are always re-expanded. Such an entry is
+    // either one the ancestor run never expanded (evicted by a larger zone
+    // first, which the edit may have shrunk) or a quiescent/timelocked one,
+    // which must be re-detected from this network's successor generation.
+    if (!closed || (!has_live_child[i] && entry.covers.empty())) frontier_.push_back(packed[i]);
   }
   return true;
 }

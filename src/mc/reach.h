@@ -13,7 +13,20 @@
 //     successor index); shards insert in rank order and the next frontier
 //     is assembled rank-sorted, so stores, statistics, traces, and verified
 //     bounds are BIT-IDENTICAL for every thread count — `jobs` only changes
-//     wall-clock time, never a result.
+//     wall-clock time, never a result;
+//   * only live zones are expanded (the passed/waiting rule of Bengtsson &
+//     Yi): a stored zone evicted from its bucket by a later, larger zone with
+//     the same discrete state is marked dead and dropped from every frontier
+//     assembled afterwards. Dead entries stay in the arena (and in the
+//     export's ordinal order) for parent chains, but are never visited or
+//     expanded, so `states_explored` counts live zones only. The dead bit is
+//     written by the shard's owner during insertion and read after the wave
+//     barrier, so it is identical for every thread count.
+//
+// Deadlock search inspects live zones only: a zone covered by another with
+// the same discrete state is never checked for missing successors, whichever
+// of the two arrived first (insert-time subsumption already skipped the
+// covered one when the larger zone came first).
 //
 // Trace reconstruction follows parent-pointer records (packed shard+index
 // ids) back to the initial state, exactly as in the sequential engine.
@@ -91,7 +104,8 @@ class Reachability {
   ReachResult run();
 
   /// Explore the full (subsumption-reduced) state space, invoking `visit`
-  /// on every stored state; used by deadlock search and state-space dumps.
+  /// on every live state (a zone a larger one covers before its expansion
+  /// is skipped); used by deadlock search and state-space dumps.
   /// `visit` is always called sequentially from the calling thread, in
   /// deterministic exploration order — callbacks need no synchronization.
   ExploreStats explore_all(const std::function<void(const SymState&)>& visit);
@@ -162,6 +176,9 @@ class Reachability {
     // Capture-mode extras (default when capture is off).
     dbm::Dbm pre_zone{0};        ///< pre-extrapolation zone when pre_differs
     bool pre_differs = false;
+    /// Evicted from its bucket by a larger zone: kept for parent chains,
+    /// never visited or expanded. Written only by the owning shard.
+    bool dead = false;
   };
 
   /// One hash partition of the passed/waiting store. During a parallel
@@ -169,7 +186,7 @@ class Reachability {
   /// ("owner-computes"), so no per-shard lock is needed.
   struct Shard {
     std::vector<Stored> arena;
-    /// discrete-hash -> arena indices with live (non-subsumed) zones.
+    /// discrete-hash -> arena indices with live (non-dead) zones.
     std::unordered_map<std::size_t, std::vector<std::uint32_t>> passed;
     std::size_t subsumed = 0;
     /// (rank, id) pairs accepted in the current wave, rank-ascending.
@@ -220,6 +237,20 @@ class Reachability {
   std::optional<std::uint64_t> insert(GenSucc&& gs, std::uint64_t parent,
                                       bool enforce_cap = true);
 
+  /// Index of a live zone in `bucket` that includes `state`'s zone (same
+  /// discrete part), if any.
+  static std::optional<std::uint32_t> find_cover(const Shard& shard,
+                                                 const std::vector<std::uint32_t>& bucket,
+                                                 const SymState& state);
+
+  /// Remove every zone `state` includes from `bucket` and mark it dead.
+  static void evict_covered(Shard& shard, std::vector<std::uint32_t>& bucket,
+                            const SymState& state);
+
+  /// Make the live ids of `merged` ((rank, id) pairs, rank-sorted) the next
+  /// frontier.
+  void assemble_frontier(const std::vector<std::pair<std::uint64_t, std::uint64_t>>& merged);
+
   /// Store the initial state and seed the frontier.
   std::uint64_t seed_initial();
 
@@ -251,13 +282,13 @@ class Reachability {
 
   /// Import the ancestor store (set_ancestor): re-derive every entry's zone
   /// under this network in ordinal order, seed the arena, visit live seeds,
-  /// and assemble the first frontier from the non-closed ones. Returns
+  /// and assemble the first frontier from the live, non-closed ones. Returns
   /// false (leaving the engine untouched) when the store does not fit this
-  /// network — the caller then seeds cold. In `deadlock_mode`, childless
-  /// cover-less seeds are always expanded so quiescence and timelocks are
-  /// re-detected by actual generation, never trusted from the old run.
-  bool seed_from_store(const std::function<void(const SymState&, std::uint64_t)>& visit,
-                       bool deadlock_mode);
+  /// network — the caller then seeds cold. Childless cover-less seeds are
+  /// always expanded: the ancestor may never have expanded them (they were
+  /// dead there, and the edit may have revived them), and quiescence and
+  /// timelocks are re-detected by actual generation, never trusted.
+  bool seed_from_store(const std::function<void(const SymState&, std::uint64_t)>& visit);
 
   /// Assemble the export of a completed capture run.
   PassedStoreExport build_export() const;

@@ -503,6 +503,71 @@ TEST(IncrementalExploration, SeededPerturbedNetsWarmMatchesColdAcrossJobs) {
   }
 }
 
+// One discrete state, A.D, is reached in the first wave by a smaller zone E
+// (guard x <= 2) and then by a larger zone F (guard x <= f_guard). With
+// f_guard > 2, F evicts E before E is expanded, so the exported store holds
+// E with no children and no covers. The bound target is D's successor A.G,
+// where the maximum of x is max(2, f_guard).
+Network covered_then_revived_net(std::int32_t f_guard) {
+  Network net("revive");
+  const ClockId x = net.add_clock("x");
+  const ClockId y = net.add_clock("y");
+  Automaton a("A");
+  const LocId s = a.add_location("S");
+  const LocId d = a.add_location("D", LocKind::kNormal, {cc_le(y, 0)});
+  const LocId g = a.add_location("G", LocKind::kNormal, {cc_le(y, 0)});
+  for (const std::int32_t bound : {2, f_guard}) {
+    Edge enter;
+    enter.src = s;
+    enter.dst = d;
+    enter.guard.clocks = {cc_le(x, bound)};
+    enter.update.resets = {{y, 0}};
+    a.add_edge(enter);
+  }
+  Edge leave;
+  leave.src = d;
+  leave.dst = g;
+  a.add_edge(leave);
+  net.add_automaton(std::move(a));
+  return net;
+}
+
+// The edit shrinks F below E, so E comes back live after the import. The
+// ancestor never expanded E, and E's own neighbourhood is untouched by the
+// edit: only the childless-seed rule puts it back in the first frontier.
+// Without it the warm sweep never reaches G through E and answers 1, not 2.
+TEST(IncrementalExploration, RevivedCoveredZoneIsExpandedOnWarmStart) {
+  const Network base = covered_then_revived_net(5);
+  const Network edited = covered_then_revived_net(1);
+  ASSERT_EQ(ta::skeleton_digest(base), ta::skeleton_digest(edited));
+
+  mc::VerificationSession ancestor(base, jobs_opts(1));
+  const mc::MaxClockResult base_result =
+      ancestor.max_clock_value({mc::at(base, "A", "G"), 0, 10'000, /*hint=*/64});
+  ASSERT_TRUE(base_result.bounded);
+  EXPECT_EQ(base_result.bound, 5);
+  EXPECT_LT(ancestor.stats().explore.states_explored, ancestor.stats().explore.states_stored)
+      << "the covered zone E must be stored but never expanded";
+  const std::shared_ptr<const mc::PassedStoreExport> store = ancestor.exported_store();
+  ASSERT_NE(store, nullptr);
+
+  const mc::BoundQuery query{mc::at(edited, "A", "G"), 0, 10'000, /*hint=*/64};
+  for (const unsigned jobs : {1u, 2u, 8u}) {
+    const std::string label = "jobs " + std::to_string(jobs);
+    mc::VerificationSession cold(edited, jobs_opts(jobs));
+    const mc::MaxClockResult cold_result = cold.max_clock_value(query);
+    ASSERT_TRUE(cold_result.bounded) << label;
+    EXPECT_EQ(cold_result.bound, 2) << label;
+
+    mc::VerificationSession warm(edited, jobs_opts(jobs));
+    warm.adopt_ancestor(store);
+    const mc::MaxClockResult warm_result = warm.max_clock_value(query);
+    expect_same_answer(cold_result, warm_result, label);
+    EXPECT_GT(warm.stats().warm_start_states_reused(), 0u)
+        << label << ": E must be reused from the ancestor, not rebuilt cold";
+  }
+}
+
 TEST(SessionReuse, SessionBackedPipelineMatchesLegacyPaths) {
   const Network pim = parse_model_file("quickstart.psv");
   const core::PimInfo info = core::analyze_pim(pim);
