@@ -239,17 +239,4 @@ BoundAnalysis analyze_bounds(const PsmArtifacts& psm, std::int64_t pim_internal_
                         search_limit);
 }
 
-PsmRequirementCheck check_psm_requirement(const PsmArtifacts& psm, const TimingRequirement& req,
-                                          std::int64_t delta, mc::ExploreOptions explore) {
-  InstrumentedPsm instrumented = instrument_psm_for_requirement(psm, req);
-  mc::VerificationSession session(std::move(instrumented.net), explore);
-  mc::StateFormula pending = mc::when(ta::var_eq(instrumented.mc_probe.pending, 1));
-  mc::BoundedResponseResult r =
-      session.check_bounded_response(pending, instrumented.mc_probe.clock, delta);
-  PsmRequirementCheck out;
-  out.holds = r.holds;
-  out.checked_bound = delta;
-  return out;
-}
-
 }  // namespace psv::core

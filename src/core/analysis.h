@@ -182,13 +182,4 @@ BoundAnalysis analyze_bounds(mc::VerificationSession& session, const PsmArtifact
                              const RequirementProbe& mc_probe, std::int64_t pim_internal_bound,
                              const TimingRequirement& req, std::int64_t search_limit = 1'000'000);
 
-/// Check P(delta) against the PSM: does the M-C delay always stay within
-/// `delta`? (Used for both the original and the relaxed requirement.)
-struct PsmRequirementCheck {
-  bool holds = false;
-  std::int64_t checked_bound = 0;
-};
-PsmRequirementCheck check_psm_requirement(const PsmArtifacts& psm, const TimingRequirement& req,
-                                          std::int64_t delta, mc::ExploreOptions explore = {});
-
 }  // namespace psv::core

@@ -203,10 +203,7 @@ PimBatchVerification verify_pim_requirements_in_session(
     batch.requirements.push_back(std::move(result));
   }
   const mc::SessionStats& now = session.stats();
-  batch.stats.states_stored = now.explore.states_stored - before.explore.states_stored;
-  batch.stats.states_explored = now.explore.states_explored - before.explore.states_explored;
-  batch.stats.transitions_fired = now.explore.transitions_fired - before.explore.transitions_fired;
-  batch.stats.subsumed = now.explore.subsumed - before.explore.subsumed;
+  batch.stats = mc::stats_delta(now.explore, before.explore);
   batch.explorations = now.explorations - before.explorations;
   batch.cache = mc::stage_cache_delta(session, before, cache_enabled);
   // A batch of one is the single-requirement path: report the batch totals
@@ -216,23 +213,6 @@ PimBatchVerification verify_pim_requirements_in_session(
     batch.requirements.front().explorations = batch.explorations;
     batch.requirements.front().cache = batch.cache;
   }
-  return batch;
-}
-
-PimBatchVerification verify_pim_requirements(const ta::Network& pim, const PimInfo& info,
-                                             const std::vector<TimingRequirement>& reqs,
-                                             std::int64_t search_limit,
-                                             mc::ExploreOptions explore,
-                                             const mc::ArtifactStore* cache) {
-  ta::Network instrumented = pim;
-  const std::string env_name = pim.automaton(info.environment).name();
-  const std::vector<RequirementProbe> probes = instrument_mc_delays(instrumented, env_name, reqs);
-
-  mc::VerificationSession session(std::move(instrumented), explore);
-  if (cache != nullptr) session.load(*cache);
-  PimBatchVerification batch =
-      verify_pim_requirements_in_session(session, probes, reqs, search_limit, cache != nullptr);
-  if (cache != nullptr) session.store(*cache);
   return batch;
 }
 

@@ -116,7 +116,7 @@ PimVerification verify_pim_requirement(const ta::Network& pim, const PimInfo& in
                                        mc::ExploreOptions explore = {},
                                        const mc::ArtifactStore* cache = nullptr);
 
-/// Batched stage 1: verify a whole set of requirements against the PIM
+/// Batched stage 1: a whole set of requirements verified against the PIM
 /// through ONE probe-instrumented network and one verification session —
 /// the sweep engine answers all per-requirement maxima from a single
 /// exploration. Verdicts and bounds are identical to N independent
@@ -129,17 +129,13 @@ struct PimBatchVerification {
   int explorations = 0;       ///< reachability runs / sweeps performed
   mc::StageCacheStats cache;  ///< persistent-cache accounting of the stage
 };
-PimBatchVerification verify_pim_requirements(const ta::Network& pim, const PimInfo& info,
-                                             const std::vector<TimingRequirement>& reqs,
-                                             std::int64_t search_limit = 1'000'000,
-                                             mc::ExploreOptions explore = {},
-                                             const mc::ArtifactStore* cache = nullptr);
 
 /// Session-backed stage 1 for callers that pool sessions (the Verifier
 /// service): `session` must wrap the network produced by
 /// instrument_mc_delays(pim, ..., reqs), `probes` its return value. All
-/// statistics are deltas against the session state at entry, so a pooled
-/// (possibly warm) session reports only this batch's work.
+/// statistics — warm-start counters included — are deltas against the
+/// session state at entry, so a pooled (possibly warm) session reports only
+/// this batch's work.
 PimBatchVerification verify_pim_requirements_in_session(
     mc::VerificationSession& session, const std::vector<RequirementProbe>& probes,
     const std::vector<TimingRequirement>& reqs, std::int64_t search_limit = 1'000'000,

@@ -24,18 +24,6 @@ double ms_since(SteadyClock::time_point start) {
   return std::chrono::duration<double, std::milli>(SteadyClock::now() - start).count();
 }
 
-mc::ExploreStats explore_delta(const mc::ExploreStats& now, const mc::ExploreStats& before) {
-  mc::ExploreStats d;
-  d.states_stored = now.states_stored - before.states_stored;
-  d.states_explored = now.states_explored - before.states_explored;
-  d.transitions_fired = now.transitions_fired - before.transitions_fired;
-  d.subsumed = now.subsumed - before.subsumed;
-  d.warm_states_reused = now.warm_states_reused - before.warm_states_reused;
-  d.warm_states_revalidated = now.warm_states_revalidated - before.warm_states_revalidated;
-  d.warm_seed_expansions = now.warm_seed_expansions - before.warm_seed_expansions;
-  return d;
-}
-
 /// Parse a 32-char lowercase-hex digest (Digest128::hex()'s rendering);
 /// returns nullopt on anything else.
 std::optional<Digest128> parse_digest_hex(const std::string& hex) {
@@ -420,7 +408,7 @@ VerifyReport Verifier::verify(const VerifyRequest& request) {
       sv.constraints = check_constraints(session, sv.psm, /*include_deadlock_check=*/true);
     }
     sv.stages.push_back(VerifyStageStats{
-        "constraints", ms_since(start), explore_delta(session.stats().explore, before.explore),
+        "constraints", ms_since(start), mc::stats_delta(session.stats().explore, before.explore),
         session.stats().explorations - before.explorations,
         mc::stage_cache_delta(session, before, store_.has_value())});
 
@@ -439,7 +427,7 @@ VerifyReport Verifier::verify(const VerifyRequest& request) {
                                         answers.end()),
         opts.search_limit);
     sv.stages.push_back(VerifyStageStats{
-        "bounds", ms_since(start), explore_delta(session.stats().explore, before.explore),
+        "bounds", ms_since(start), mc::stats_delta(session.stats().explore, before.explore),
         session.stats().explorations - before.explorations,
         mc::stage_cache_delta(session, before, store_.has_value())});
     if (store_) session.store(*store_);

@@ -187,16 +187,6 @@ Digest128 state_formula_digest(const ta::CanonicalIds& ids, const StateFormula& 
   return digest128(enc.buffer().data(), enc.size());
 }
 
-Digest128 bounded_response_digest(const ta::CanonicalIds& ids, const StateFormula& pending,
-                                  ta::ClockId clock, std::int64_t delta) {
-  ByteWriter enc;
-  enc.str("psv-bounded-response");
-  encode_state_formula(enc, ids, pending);
-  enc.i32(ids.clock(clock));
-  enc.i64(delta);
-  return digest128(enc.buffer().data(), enc.size());
-}
-
 std::vector<std::uint8_t> VerificationArtifact::serialize() const {
   ByteWriter out;
   out.u64(bounds.size());
@@ -215,20 +205,12 @@ std::vector<std::uint8_t> VerificationArtifact::serialize() const {
     write_explore_stats(dl, deadlock.stats);
     out.raw(dl.buffer().data(), dl.size());
   }
-  // Format v4: reachability memos, bounded-response memos, skeleton digest,
-  // exported passed store.
+  // Format v4: reachability memos, skeleton digest, exported passed store.
   out.u64(reaches.size());
   for (const ReachEntry& entry : reaches) {
     write_digest(out, entry.query);
     out.boolean(entry.result.reachable);
     write_trace(out, entry.result.trace);
-    write_explore_stats(out, entry.result.stats);
-  }
-  out.u64(responses.size());
-  for (const ResponseEntry& entry : responses) {
-    write_digest(out, entry.query);
-    out.boolean(entry.result.holds);
-    write_trace(out, entry.result.violation);
     write_explore_stats(out, entry.result.stats);
   }
   write_digest(out, skeleton);
@@ -271,16 +253,6 @@ VerificationArtifact VerificationArtifact::deserialize(ByteReader& in) {
     entry.result.trace = read_trace(in);
     entry.result.stats = read_explore_stats(in);
     artifact.reaches.push_back(std::move(entry));
-  }
-  const std::size_t responses = in.length(/*min_element_size=*/16 + 1 + 8);
-  artifact.responses.reserve(responses);
-  for (std::size_t i = 0; i < responses; ++i) {
-    ResponseEntry entry;
-    entry.query = read_digest(in);
-    entry.result.holds = in.boolean();
-    entry.result.violation = read_trace(in);
-    entry.result.stats = read_explore_stats(in);
-    artifact.responses.push_back(std::move(entry));
   }
   artifact.skeleton = read_digest(in);
   if (in.boolean()) artifact.store = read_passed_store(in);

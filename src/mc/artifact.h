@@ -20,9 +20,9 @@
 // load() treats ANY mismatch — truncation, bit flips, version or endianness
 // drift, a foreign key — as a miss: one warning line, no crash, and the
 // caller falls back to exploration. Since format v4, individual
-// query_reachable() / check_bounded_response() calls are persisted alongside
-// the batch bounds and the shared flag sweep, as is the exported passed
-// store that warm-starts skeleton-equal successors.
+// query_reachable() calls are persisted alongside the batch bounds and the
+// shared flag sweep, as is the exported passed store that warm-starts
+// skeleton-equal successors.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +49,11 @@ namespace psv::mc {
 /// followed by re-exploration. Version 5: the key drops the bound-engine and
 /// goal-pruning bytes, and passed-store entries no longer carry rendered
 /// transition labels (traces render them from the edges on demand).
-inline constexpr std::uint32_t kArtifactFormatVersion = 5;
+/// Version 6: the bounded-response memo is gone from the payload, and the
+/// persisted statistics of goal searches and timelock-aborted sweeps follow
+/// the single wave loop (a goal search stops before expanding the goal's
+/// wave; a timelock commits none of its wave's successors).
+inline constexpr std::uint32_t kArtifactFormatVersion = 6;
 
 /// Content-addressed cache key; hex() names the artifact file.
 struct ArtifactKey {
@@ -89,12 +93,6 @@ Digest128 bound_query_digest(const ta::CanonicalIds& ids, const BoundQuery& quer
 /// bound_query_digest. Keys the memoized query_reachable() results.
 Digest128 state_formula_digest(const ta::CanonicalIds& ids, const StateFormula& formula);
 
-/// Canonical digest of one bounded-response check
-/// (A[](pending => clock <= delta)). Keys the memoized
-/// check_bounded_response() results.
-Digest128 bounded_response_digest(const ta::CanonicalIds& ids, const StateFormula& pending,
-                                  ta::ClockId clock, std::int64_t delta);
-
 /// The serializable memo of a verification session.
 struct VerificationArtifact {
   struct BoundEntry {
@@ -119,14 +117,6 @@ struct VerificationArtifact {
     ReachResult result;
   };
   std::vector<ReachEntry> reaches;
-
-  /// Memoized bounded-response checks (bounded_response_digest-keyed).
-  /// Sorted by query digest.
-  struct ResponseEntry {
-    Digest128 query;
-    BoundedResponseResult result;
-  };
-  std::vector<ResponseEntry> responses;
 
   /// ta::skeleton_digest of the fingerprinted network: the key under which
   /// this artifact's passed store is indexed as a warm-start ancestor for

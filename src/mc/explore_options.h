@@ -11,9 +11,10 @@ namespace psv::mc {
 
 /// Exploration limits and knobs.
 struct ExploreOptions {
-  /// Hard cap on stored symbolic states; exceeded -> psv::Error. Parallel
-  /// waves check the cap at the wave barrier (where it is deterministic),
-  /// with a hard backstop at twice this value bounding transient memory.
+  /// Hard cap on stored symbolic states; exceeded -> psv::Error. Checked at
+  /// wave barriers, where it is deterministic: a wave that crosses the cap
+  /// throws, for every query kind. A hard backstop at twice this value
+  /// bounds transient memory inside a wave.
   std::size_t max_states = 2'000'000;
 
   /// Worker threads for wave-parallel exploration. 0 picks one per hardware
@@ -80,6 +81,20 @@ inline void accumulate_stats(ExploreStats& into, const ExploreStats& from) {
   into.warm_states_reused += from.warm_states_reused;
   into.warm_states_revalidated += from.warm_states_revalidated;
   into.warm_seed_expansions += from.warm_seed_expansions;
+}
+
+/// Field-wise difference `now - before` of two snapshots of one running
+/// total (accumulate_stats' inverse): the work done in between.
+inline ExploreStats stats_delta(const ExploreStats& now, const ExploreStats& before) {
+  ExploreStats d;
+  d.states_stored = now.states_stored - before.states_stored;
+  d.states_explored = now.states_explored - before.states_explored;
+  d.transitions_fired = now.transitions_fired - before.transitions_fired;
+  d.subsumed = now.subsumed - before.subsumed;
+  d.warm_states_reused = now.warm_states_reused - before.warm_states_reused;
+  d.warm_states_revalidated = now.warm_states_revalidated - before.warm_states_revalidated;
+  d.warm_seed_expansions = now.warm_seed_expansions - before.warm_seed_expansions;
+  return d;
 }
 
 }  // namespace psv::mc

@@ -168,11 +168,11 @@ SweepRound sweep_once(const ta::Network& net, const std::vector<BoundQuery>& que
     }
   };
   if (flags == nullptr) {
-    round.stats = engine.explore_all_ids(visit);
+    round.stats = engine.explore_all(visit);
   } else {
     flags->var_seen_one.assign(static_cast<std::size_t>(net.num_vars()), 0);
     DeadlockResult deadlock =
-        engine.find_deadlock_ids([&](const SymState& state, std::uint64_t id) {
+        engine.find_deadlock([&](const SymState& state, std::uint64_t id) {
           for (std::size_t v = 0; v < state.vars.size(); ++v)
             if (state.vars[v] == 1) flags->var_seen_one[v] = 1;
           visit(state, id);

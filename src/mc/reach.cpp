@@ -15,13 +15,6 @@ namespace {
 /// narrow explorations (unit-test sized models) stay threadless.
 constexpr std::size_t kPoolSpawnWidth = 16;
 
-/// Rank-chunk width of the parallel terminal (goal-candidate) wave. Bounded
-/// so at most one chunk of inserts can overshoot the first accepted goal —
-/// the overshoot is subtracted from the reported statistics, and capping the
-/// chunk at max_states (see insert_terminal_wave) keeps the 2x hard memory
-/// backstop unreachable for runs the sequential engine completes.
-constexpr std::size_t kTerminalChunk = 1024;
-
 /// Element-wise max of the goal formula's clock constants with the
 /// caller-supplied extras (sweep widening candidates).
 std::vector<std::int32_t> merge_clock_consts(std::vector<std::int32_t> base,
@@ -91,8 +84,7 @@ void Reachability::evict_covered(Shard& shard, std::vector<std::uint32_t>& bucke
   });
 }
 
-std::optional<std::uint64_t> Reachability::insert(GenSucc&& gs, std::uint64_t parent,
-                                                  bool enforce_cap) {
+std::optional<std::uint64_t> Reachability::insert(GenSucc&& gs, std::uint64_t parent) {
   SymState& state = gs.state;
   const std::size_t shard_index = shard_of(gs.hash, kNumShards);
   Shard& shard = shards_[shard_index];
@@ -107,18 +99,16 @@ std::optional<std::uint64_t> Reachability::insert(GenSucc&& gs, std::uint64_t pa
   }
   evict_covered(shard, bucket, state);
 
-  // Sequential paths enforce the cap per insert (exact legacy behavior);
-  // parallel waves skip it here — a check-then-act on the shared counter
-  // would race — and the wave barrier in insert_wave() applies the same
-  // predicate ("the accepted state count exceeded the cap") afterwards,
-  // where it is deterministic for every thread count. A hard backstop at
-  // twice the cap bounds transient memory on extreme-fan-out waves; it can
-  // only fire in runs where the barrier check throws anyway, so the
-  // throw/no-throw outcome stays deterministic.
-  const std::size_t stored_now = total_stored_.load(std::memory_order_relaxed);
-  PSV_REQUIRE_AS(::psv::ErrorCode::kVerify, (enforce_cap ? stored_now < opts_.max_states : stored_now < hard_state_limit_),
-              "state-space exploration exceeded the configured limit of " +
-                  std::to_string(opts_.max_states) + " states");
+  // The cap itself is checked at the wave barrier in insert_wave() — a
+  // check-then-act on the shared counter here would race — where it is
+  // deterministic for every thread count. This hard backstop at twice the
+  // cap bounds transient memory on extreme-fan-out waves; it can only fire
+  // in a wave whose barrier check throws anyway, so the throw/no-throw
+  // outcome stays deterministic.
+  PSV_REQUIRE_AS(::psv::ErrorCode::kVerify,
+                 total_stored_.load(std::memory_order_relaxed) < hard_state_limit_,
+                 "state-space exploration exceeded the configured limit of " +
+                     std::to_string(opts_.max_states) + " states");
   const std::size_t local = shard.arena.size();
   shard.arena.push_back(
       Stored{std::move(state), parent, std::move(gs.edges), std::move(gs.pre_zone), gs.pre_differs});
@@ -127,7 +117,7 @@ std::optional<std::uint64_t> Reachability::insert(GenSucc&& gs, std::uint64_t pa
   return pack_id(shard_index, local);
 }
 
-std::uint64_t Reachability::seed_initial() {
+void Reachability::seed_initial() {
   GenSucc init;
   init.state = gen_.initial();
   init.hash = init.state.discrete_hash();
@@ -135,7 +125,6 @@ std::uint64_t Reachability::seed_initial() {
   PSV_ASSERT(id.has_value(), "initial state must be stored");
   if (capture_) order_.push_back(*id);
   frontier_.assign(1, *id);
-  return *id;
 }
 
 void Reachability::run_parallel(std::size_t n, const std::function<void(std::size_t)>& body) {
@@ -146,7 +135,7 @@ void Reachability::run_parallel(std::size_t n, const std::function<void(std::siz
   for (std::size_t i = 0; i < n; ++i) body(i);
 }
 
-void Reachability::generate_wave(bool compute_goal, bool compute_blocked) {
+void Reachability::generate_wave(bool compute_blocked) {
   const std::size_t n = frontier_.size();
   if (jobs_ > 1 && !pool_ && n >= kPoolSpawnWidth) {
     pool_ = std::make_unique<WorkerPool>(jobs_ - 1);
@@ -162,7 +151,6 @@ void Reachability::generate_wave(bool compute_goal, bool compute_blocked) {
     for (SymSuccessor& succ : raw) {
       GenSucc gs;
       gs.hash = succ.state.discrete_hash();
-      gs.is_goal = compute_goal && satisfies(net_, succ.state, goal_);
       gs.state = std::move(succ.state);
       gs.edges = std::move(succ.edges);
       if (capture_) {
@@ -194,7 +182,7 @@ void Reachability::insert_wave() {
   }
   // Route every successor to its owning shard, in rank order. Rank order
   // per shard plus the fixed shard assignment makes each bucket see the
-  // exact insertion sequence of a sequential FIFO exploration.
+  // insertion sequence of a FIFO exploration, whatever the thread count.
   for (std::size_t i = 0; i < frontier_.size(); ++i) {
     for (std::size_t j = 0; j < wave_succs_[i].size(); ++j) {
       ++stats_.transitions_fired;
@@ -208,20 +196,19 @@ void Reachability::insert_wave() {
       const std::size_t i = static_cast<std::size_t>(rank >> 32);
       const std::size_t j = static_cast<std::size_t>(rank & 0xffffffffu);
       GenSucc& gs = wave_succs_[i][j];
-      const auto id = insert(std::move(gs), frontier_[i], /*enforce_cap=*/false);
+      const auto id = insert(std::move(gs), frontier_[i]);
       if (id.has_value()) shard.accepted.emplace_back(rank, *id);
     }
   });
-  // Deterministic cap enforcement: a sequential exploration throws iff its
-  // accepted-state sequence would exceed max_states, and that sequence is
-  // identical here, so checking the total at the barrier reproduces the
-  // throw/no-throw decision exactly (memory overshoot is bounded by one
-  // wave's accepted states).
-  PSV_REQUIRE_AS(::psv::ErrorCode::kVerify, total_stored_.load(std::memory_order_relaxed) <= opts_.max_states,
-              "state-space exploration exceeded the configured limit of " +
-                  std::to_string(opts_.max_states) + " states");
-  // Assemble the next frontier rank-sorted: identical order to the
-  // sequential engine's FIFO waiting queue.
+  // The accepted states are identical for every thread count, so a wave
+  // that crosses the cap throws at this barrier whatever `jobs` is (memory
+  // overshoot is bounded by one wave's accepted states).
+  PSV_REQUIRE_AS(::psv::ErrorCode::kVerify,
+                 total_stored_.load(std::memory_order_relaxed) <= opts_.max_states,
+                 "state-space exploration exceeded the configured limit of " +
+                     std::to_string(opts_.max_states) + " states");
+  // Assemble the next frontier rank-sorted: the order of a FIFO waiting
+  // queue.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> merged;
   std::size_t total = 0;
   for (const Shard& shard : shards_) total += shard.accepted.size();
@@ -231,11 +218,6 @@ void Reachability::insert_wave() {
   std::sort(merged.begin(), merged.end());
   if (capture_)
     for (const auto& [rank, id] : merged) order_.push_back(id);
-  assemble_frontier(merged);
-}
-
-void Reachability::assemble_frontier(
-    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& merged) {
   // A zone evicted later in the same wave is covered by a live one with the
   // same discrete state: expanding it would only regenerate subsumed work.
   next_frontier_.clear();
@@ -273,248 +255,68 @@ std::vector<Trace> Reachability::traces_of(const std::vector<std::uint64_t>& ids
   return traces;
 }
 
-ReachResult Reachability::run() {
-  ReachResult result;
-  const std::uint64_t initial = seed_initial();
-  if (satisfies(net_, stored(initial).state, goal_)) {
-    result.reachable = true;
-    result.trace = build_trace(initial);
-    result.stats = snapshot_stats();
-    return result;
-  }
-  while (!frontier_.empty()) {
-    check_cancel(opts_);
-    generate_wave(/*compute_goal=*/true, /*compute_blocked=*/false);
-    bool any_goal = false;
-    for (std::size_t i = 0; i < frontier_.size() && !any_goal; ++i) {
-      for (const GenSucc& gs : wave_succs_[i]) {
-        if (gs.is_goal) {
-          any_goal = true;
-          break;
-        }
-      }
-    }
-    if (!any_goal) {
-      insert_wave();
-      continue;
-    }
-    // Terminal wave: a goal candidate exists. Insert shard-parallel in
-    // bounded rank chunks; the first *accepted* goal in global rank order
-    // wins (a subsumed candidate keeps the search going), reproducing the
-    // sequential engine's early exit and its statistics exactly.
-    if (insert_terminal_wave(result)) return result;
-  }
-  result.reachable = false;
-  result.stats = snapshot_stats();
-  return result;
-}
-
-bool Reachability::insert_terminal_wave(ReachResult& result) {
-  const std::size_t prior_stored = total_stored_.load(std::memory_order_relaxed);
-  for (Shard& shard : shards_) {
-    shard.pending.clear();
-    shard.pending_cursor = 0;
-    shard.accepted.clear();
-    shard.subsumed_ranks.clear();
-  }
-  // Route every successor to its owning shard in rank order, and keep the
-  // global rank sequence for chunk boundaries.
-  std::vector<std::uint64_t> all_ranks;
-  std::size_t total_ranks = 0;
-  for (std::size_t i = 0; i < frontier_.size(); ++i) total_ranks += wave_succs_[i].size();
-  all_ranks.reserve(total_ranks);
-  for (std::size_t i = 0; i < frontier_.size(); ++i) {
-    for (std::size_t j = 0; j < wave_succs_[i].size(); ++j) {
-      const std::uint64_t rank = (static_cast<std::uint64_t>(i) << 32) | j;
-      all_ranks.push_back(rank);
-      shards_[shard_of(wave_succs_[i][j].hash, kNumShards)].pending.push_back(rank);
-    }
-  }
-  // Acceptance of a candidate depends only on its own shard's earlier
-  // insertions (equal discrete hash implies equal shard), so shard-parallel
-  // rank-order insertion decides exactly like the sequential engine; chunk
-  // barriers bound how far past the winning goal the wave can run.
-  const std::size_t chunk =
-      std::max<std::size_t>(1, std::min<std::size_t>(kTerminalChunk, opts_.max_states));
-  for (std::size_t begin = 0; begin < total_ranks; begin += chunk) {
-    const std::uint64_t boundary = all_ranks[std::min(begin + chunk, total_ranks) - 1];
-    for (Shard& shard : shards_) shard.accepted_goals.clear();
-    run_parallel(kNumShards, [&](std::size_t s) {
-      Shard& shard = shards_[s];
-      while (shard.pending_cursor < shard.pending.size() &&
-             shard.pending[shard.pending_cursor] <= boundary) {
-        const std::uint64_t rank = shard.pending[shard.pending_cursor++];
-        const std::size_t i = static_cast<std::size_t>(rank >> 32);
-        const std::size_t j = static_cast<std::size_t>(rank & 0xffffffffu);
-        GenSucc& gs = wave_succs_[i][j];
-        const bool is_goal = gs.is_goal;
-        const auto id = insert(std::move(gs), frontier_[i], /*enforce_cap=*/false);
-        if (!id.has_value()) {
-          shard.subsumed_ranks.push_back(rank);
-          continue;
-        }
-        shard.accepted.emplace_back(rank, *id);
-        if (is_goal) shard.accepted_goals.emplace_back(rank, *id);
-      }
-    });
-    // First accepted goal in global rank order wins.
-    std::optional<std::pair<std::uint64_t, std::uint64_t>> winner;
-    for (const Shard& shard : shards_) {
-      if (!shard.accepted_goals.empty() &&
-          (!winner.has_value() || shard.accepted_goals.front().first < winner->first)) {
-        winner = shard.accepted_goals.front();
-      }
-    }
-    if (winner.has_value()) {
-      const std::uint64_t rank_r = winner->first;
-      // States ranked past the winner were never inserted by the
-      // sequential engine: subtract them from the reported statistics.
-      std::size_t accepted_le = 0;
-      std::size_t accepted_gt = 0;
-      std::size_t subsumed_gt = 0;
-      for (const Shard& shard : shards_) {
-        for (const auto& [rank, id] : shard.accepted) {
-          (void)id;
-          rank <= rank_r ? ++accepted_le : ++accepted_gt;
-        }
-        for (const std::uint64_t rank : shard.subsumed_ranks) {
-          if (rank > rank_r) ++subsumed_gt;
-        }
-      }
-      // The sequential engine checks the cap before every store up to and
-      // including the goal's own: reproduce its throw/no-throw decision.
-      PSV_REQUIRE_AS(::psv::ErrorCode::kVerify, prior_stored + accepted_le <= opts_.max_states,
-                  "state-space exploration exceeded the configured limit of " +
-                      std::to_string(opts_.max_states) + " states");
-      const std::size_t i_r = static_cast<std::size_t>(rank_r >> 32);
-      stats_.states_explored += i_r + 1;
-      for (std::size_t i = 0; i < i_r; ++i) stats_.transitions_fired += wave_succs_[i].size();
-      stats_.transitions_fired += static_cast<std::size_t>(rank_r & 0xffffffffu) + 1;
-      result.reachable = true;
-      result.trace = build_trace(winner->second);
-      result.stats = snapshot_stats();
-      result.stats.states_stored -= accepted_gt;
-      result.stats.subsumed -= subsumed_gt;
-      return true;
-    }
-    // No goal accepted yet: the sequential engine processed this whole
-    // chunk too — apply its cap decision at the deterministic barrier.
-    PSV_REQUIRE_AS(::psv::ErrorCode::kVerify, total_stored_.load(std::memory_order_relaxed) <= opts_.max_states,
-                "state-space exploration exceeded the configured limit of " +
-                    std::to_string(opts_.max_states) + " states");
-  }
-  // Every goal candidate was subsumed: the wave completed — account it and
-  // assemble the next frontier exactly like insert_wave().
-  stats_.states_explored += frontier_.size();
-  stats_.transitions_fired += total_ranks;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> merged;
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.accepted.size();
-  merged.reserve(total);
-  for (const Shard& shard : shards_)
-    merged.insert(merged.end(), shard.accepted.begin(), shard.accepted.end());
-  std::sort(merged.begin(), merged.end());
-  assemble_frontier(merged);
-  return false;
-}
-
-ExploreStats Reachability::explore_all(const std::function<void(const SymState&)>& visit) {
-  if (!visit) return explore_all_ids(nullptr);
-  return explore_all_ids([&visit](const SymState& state, std::uint64_t) { visit(state); });
-}
-
-ExploreStats Reachability::explore_all_ids(
-    const std::function<void(const SymState&, std::uint64_t)>& visit) {
-  const bool warm = ancestor_ != nullptr && seed_from_store(visit);
-  if (!warm) seed_initial();
-  // A warm start already visited every live seed during the import; the
-  // first loop iteration must not visit them again.
-  bool skip_visit = warm;
-  bool first_warm_wave = warm;
-  while (!frontier_.empty()) {
-    // Visiting before generating is behavior-identical to the historical
-    // generate-then-visit order (visits depend only on the frontier).
-    if (visit && !skip_visit) {
-      for (const std::uint64_t id : frontier_) visit(stored(id).state, id);
-    }
-    skip_visit = false;
-    check_cancel(opts_);
-    if (first_warm_wave) {
-      stats_.warm_seed_expansions += frontier_.size();
-      first_warm_wave = false;
-    }
-    generate_wave(/*compute_goal=*/false, /*compute_blocked=*/false);
-    insert_wave();
-  }
-  if (capture_) export_ = build_export();
-  return snapshot_stats();
-}
-
-DeadlockResult Reachability::find_deadlock(const std::function<void(const SymState&)>& visit) {
-  if (!visit) return find_deadlock_ids(nullptr);
-  return find_deadlock_ids([&visit](const SymState& state, std::uint64_t) { visit(state); });
-}
-
-DeadlockResult Reachability::find_deadlock_ids(
-    const std::function<void(const SymState&, std::uint64_t)>& visit) {
-  DeadlockResult result;
-  std::optional<std::uint64_t> first_quiescent;
+Reachability::WaveEnd Reachability::run_waves(const Visitor& visit, Stop stop) {
+  WaveEnd end;
   // Warm starts force childless cover-less seeds back into the frontier, so
-  // quiescence and timelocks are always re-detected by fresh generation
-  // below — never trusted from the ancestor run.
+  // quiescence and timelocks are always re-detected by fresh generation —
+  // never trusted from the ancestor run. The import already visited every
+  // live seed; the first wave must not visit them again.
   const bool warm = ancestor_ != nullptr && seed_from_store(visit);
   if (!warm) seed_initial();
   bool skip_visit = warm;
   bool first_warm_wave = warm;
   while (!frontier_.empty()) {
     check_cancel(opts_);
+    if (stop == Stop::kGoal) {
+      for (const std::uint64_t id : frontier_) {
+        if (satisfies(net_, stored(id).state, goal_)) {
+          end.stop = id;
+          return end;
+        }
+      }
+    }
     if (first_warm_wave) {
       stats_.warm_seed_expansions += frontier_.size();
       first_warm_wave = false;
     }
-    generate_wave(/*compute_goal=*/false, /*compute_blocked=*/true);
+    generate_wave(/*compute_blocked=*/stop == Stop::kTimelock);
     // Scan the wave in rank (exploration) order: visit callbacks fire
-    // sequentially, quiescence is recorded at the first occurrence, and a
-    // timelock stops the scan exactly where the sequential engine stopped.
-    std::optional<std::size_t> timelock_rank;
+    // sequentially, quiescence is recorded at its first occurrence, and a
+    // timelock ends the run at its rank with none of the wave committed.
     for (std::size_t i = 0; i < frontier_.size(); ++i) {
-      if (visit && !skip_visit) visit(stored(frontier_[i]).state, frontier_[i]);
-      if (!wave_succs_[i].empty()) continue;
+      const std::uint64_t id = frontier_[i];
+      if (visit && !skip_visit) visit(stored(id).state, id);
+      if (stop != Stop::kTimelock || !wave_succs_[i].empty()) continue;
       if (wave_blocked_[i]) {
-        timelock_rank = i;
-        break;
+        stats_.states_explored += i + 1;
+        end.stop = id;
+        return end;
       }
       // Plain quiescence (time diverges) is recorded but the search
       // continues: a benign quiescent corner must not mask a timelock.
-      if (!first_quiescent) first_quiescent = frontier_[i];
+      if (!end.quiescent) end.quiescent = id;
     }
     skip_visit = false;
-    if (timelock_rank.has_value()) {
-      // States past the timelock were never explored by the sequential
-      // engine; commit only the earlier ranks' successors and stats.
-      for (std::size_t i = 0; i <= *timelock_rank; ++i) {
-        ++stats_.states_explored;
-        for (GenSucc& gs : wave_succs_[i]) {
-          ++stats_.transitions_fired;
-          insert(std::move(gs), frontier_[i]);
-        }
-      }
-      result.found = true;
-      result.timelock = true;
-      result.trace = build_trace(frontier_[*timelock_rank]);
-      result.stats = snapshot_stats();
-      return result;
-    }
     insert_wave();
   }
-  if (first_quiescent.has_value()) {
-    result.found = true;
-    result.timelock = false;
-    result.trace = build_trace(*first_quiescent);
-  }
-  // Only complete explorations export (the timelock early-return above
-  // never reaches this point): an aborted run's store is a partial prefix.
+  // Only complete explorations export: an aborted run's store is a prefix.
   if (capture_) export_ = build_export();
+  return end;
+}
+
+ExploreStats Reachability::explore_all(const Visitor& visit) {
+  run_waves(visit, Stop::kNever);
+  return snapshot_stats();
+}
+
+DeadlockResult Reachability::find_deadlock(const Visitor& visit) {
+  const WaveEnd end = run_waves(visit, Stop::kTimelock);
+  DeadlockResult result;
+  if (const std::optional<std::uint64_t> id = end.stop ? end.stop : end.quiescent) {
+    result.found = true;
+    result.timelock = end.stop.has_value();
+    result.trace = build_trace(*id);
+  }
   result.stats = snapshot_stats();
   return result;
 }
@@ -524,8 +326,7 @@ void Reachability::enable_capture() {
   gen_.set_capture(true);
 }
 
-bool Reachability::seed_from_store(
-    const std::function<void(const SymState&, std::uint64_t)>& visit) {
+bool Reachability::seed_from_store(const Visitor& visit) {
   const PassedStoreExport& anc = *ancestor_;
   const std::size_t num_automata = static_cast<std::size_t>(net_.num_automata());
 
@@ -787,14 +588,12 @@ PassedStoreExport Reachability::build_export() const {
 }
 
 ReachResult reachable(const ta::Network& net, const StateFormula& goal, ExploreOptions opts) {
-  return Reachability(net, goal, opts).run();
-}
-
-SafetyResult holds_always_not(const ta::Network& net, const StateFormula& bad,
-                              ExploreOptions opts) {
-  SafetyResult result;
-  result.violation = reachable(net, bad, opts);
-  result.holds = !result.violation.reachable;
+  Reachability engine(net, goal, opts);
+  const Reachability::WaveEnd end = engine.run_waves(nullptr, Reachability::Stop::kGoal);
+  ReachResult result;
+  result.reachable = end.stop.has_value();
+  if (result.reachable) result.trace = engine.build_trace(*end.stop);
+  result.stats = engine.snapshot_stats();
   return result;
 }
 

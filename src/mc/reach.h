@@ -23,13 +23,23 @@
 //     written by the shard's owner during insertion and read after the wave
 //     barrier, so it is identical for every thread count.
 //
-// Deadlock search inspects live zones only: a zone covered by another with
-// the same discrete state is never checked for missing successors, whichever
-// of the two arrived first (insert-time subsumption already skipped the
-// covered one when the larger zone came first).
+// One wave loop answers every question the engine is asked:
+//
+//   * a full sweep (explore_all) visits every live state and runs until the
+//     frontier empties;
+//   * goal search (reachable) stops at the first live frontier state, in
+//     exploration order, that satisfies the goal, before that wave expands;
+//   * deadlock search (find_deadlock) inspects live zones only — a zone
+//     covered by another with the same discrete state is never checked for
+//     missing successors — records the first quiescent state and stops at
+//     the frontier rank of the first timelock, committing none of that
+//     wave's successors.
+//
+// ExploreOptions::max_states is checked at wave barriers: a wave that
+// crosses the cap throws, for every query kind and every thread count.
 //
 // Trace reconstruction follows parent-pointer records (packed shard+index
-// ids) back to the initial state, exactly as in the sequential engine.
+// ids) back to the initial state.
 #pragma once
 
 #include <atomic>
@@ -82,6 +92,10 @@ struct DeadlockResult {
   ExploreStats stats;
 };
 
+/// Single-call reachability: is some state satisfying `goal` reachable in
+/// `net`? The trace leads to the first such state in exploration order.
+ReachResult reachable(const ta::Network& net, const StateFormula& goal, ExploreOptions opts = {});
+
 /// Breadth-first symbolic reachability over a network.
 ///
 /// The engine owns nothing of the network; it may be constructed per query.
@@ -100,24 +114,20 @@ class Reachability {
   Reachability(const Reachability&) = delete;
   Reachability& operator=(const Reachability&) = delete;
 
-  /// Run until the goal is found or the state space is exhausted.
-  ReachResult run();
+  /// Receives each visited state with its packed store id, usable with
+  /// trace_of() to rebuild a witness afterwards. Always called sequentially
+  /// from the calling thread, in deterministic exploration order —
+  /// callbacks need no synchronization.
+  using Visitor = std::function<void(const SymState&, std::uint64_t)>;
 
   /// Explore the full (subsumption-reduced) state space, invoking `visit`
   /// on every live state (a zone a larger one covers before its expansion
-  /// is skipped); used by deadlock search and state-space dumps.
-  /// `visit` is always called sequentially from the calling thread, in
-  /// deterministic exploration order — callbacks need no synchronization.
-  ExploreStats explore_all(const std::function<void(const SymState&)>& visit);
-
-  /// explore_all variant whose visitor also receives the packed store id of
-  /// each state, usable with trace_of() to rebuild a witness afterwards
-  /// (the sweep bound engine records the id of the state attaining the
-  /// maximum). Same determinism guarantees as explore_all.
-  ExploreStats explore_all_ids(const std::function<void(const SymState&, std::uint64_t)>& visit);
+  /// is skipped). The sweep bound engine records the ids of the states
+  /// attaining its maxima this way.
+  ExploreStats explore_all(const Visitor& visit);
 
   /// Diagnostic trace from the initial state to a stored state, by the id
-  /// handed to an explore_all_ids visitor. Valid until the engine dies.
+  /// handed to a visitor. Valid until the engine dies.
   Trace trace_of(std::uint64_t id) const { return build_trace(id); }
 
   /// Batched trace_of: materialize one trace per id, index-aligned. The
@@ -128,18 +138,11 @@ class Reachability {
   std::vector<Trace> traces_of(const std::vector<std::uint64_t>& ids) const;
 
   /// Deadlock search: find a state with no action successor. The optional
-  /// `visit` callback sees every explored state (letting callers piggyback
-  /// flag-reachability analyses on the same exploration); like explore_all,
-  /// it is invoked sequentially in exploration order.
-  DeadlockResult find_deadlock(const std::function<void(const SymState&)>& visit = nullptr);
-
-  /// find_deadlock variant whose visitor also receives the packed store id
-  /// of each state, usable with trace_of() — the combined batch sweep runs
-  /// the deadlock search, the C1–C4 flag recording, AND the bound-query
-  /// maxima off this one exploration. Same determinism and early-abort
-  /// (timelock) semantics as find_deadlock.
-  DeadlockResult find_deadlock_ids(
-      const std::function<void(const SymState&, std::uint64_t)>& visit);
+  /// `visit` callback sees every explored state up to a timelock, letting
+  /// callers piggyback analyses on the same exploration — the combined
+  /// batch sweep runs the deadlock search, the C1–C4 flag recording, AND
+  /// the bound-query maxima off this one exploration.
+  DeadlockResult find_deadlock(const Visitor& visit = nullptr);
 
   /// Record everything a passed-store export needs beyond the always-kept
   /// participating edges (pre-extrapolation zones, deterministic insertion
@@ -155,12 +158,15 @@ class Reachability {
   /// not match. The pointee must outlive the run.
   void set_ancestor(const PassedStoreExport* ancestor) { ancestor_ = ancestor; }
 
-  /// The store exported by the last COMPLETE capture-mode
-  /// explore_all_ids / find_deadlock_ids run; empty when capture was off or
-  /// the run aborted early (timelock).
+  /// The store exported by the last COMPLETE capture-mode explore_all /
+  /// find_deadlock run; empty when capture was off or the run aborted early
+  /// (timelock).
   std::optional<PassedStoreExport> take_export() { return std::move(export_); }
 
  private:
+  friend ReachResult reachable(const ta::Network& net, const StateFormula& goal,
+                               ExploreOptions opts);
+
   /// Shard count of the passed/waiting store. Fixed (independent of `jobs`)
   /// so the shard assignment — and with it every bucket's insertion
   /// sequence — never depends on the thread count. Power of two.
@@ -194,26 +200,17 @@ class Reachability {
     /// Ranks ((frontier index << 32) | successor index) routed to this
     /// shard in the current wave, rank-ascending.
     std::vector<std::uint64_t> pending;
-    /// Cursor into `pending` for chunked terminal-wave insertion.
-    std::size_t pending_cursor = 0;
-    /// Ranks subsumed in the current terminal wave, rank-ascending (used to
-    /// reconstruct the sequential engine's statistics at the early exit).
-    std::vector<std::uint64_t> subsumed_ranks;
-    /// (rank, id) of goal-flagged states accepted in the current terminal
-    /// chunk, rank-ascending.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> accepted_goals;
     /// Capture mode: (parent id, subsumer id) recorded whenever this
     /// shard's subsumption check pruned a successor — the export needs them
     /// to justify skipping closed states on a warm start.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> cover_events;
   };
 
-  /// One generated successor, with everything the insertion phase needs
-  /// precomputed (hash, goal flag) so insertion stays pure bookkeeping.
+  /// One generated successor, with its discrete hash precomputed so
+  /// insertion stays pure bookkeeping.
   struct GenSucc {
     SymState state;
     std::size_t hash = 0;
-    bool is_goal = false;
     std::vector<EdgeRef> edges;
     // Capture-mode extras, forwarded from SymSuccessor into the store.
     dbm::Dbm pre_zone{0};
@@ -230,12 +227,8 @@ class Reachability {
   /// Insert into the owning shard: subsumption check, live-list update,
   /// arena append. Returns the packed id if stored, nullopt if subsumed.
   /// Thread-safe only under the owner-computes discipline (one thread per
-  /// shard at a time). `enforce_cap` applies the max_states limit per
-  /// insert (exact legacy semantics — used by the strictly sequential
-  /// paths); parallel waves pass false and enforce the cap at the wave
-  /// barrier instead, where the check is deterministic.
-  std::optional<std::uint64_t> insert(GenSucc&& gs, std::uint64_t parent,
-                                      bool enforce_cap = true);
+  /// shard at a time).
+  std::optional<std::uint64_t> insert(GenSucc&& gs, std::uint64_t parent);
 
   /// Index of a live zone in `bucket` that includes `state`'s zone (same
   /// discrete part), if any.
@@ -247,31 +240,36 @@ class Reachability {
   static void evict_covered(Shard& shard, std::vector<std::uint32_t>& bucket,
                             const SymState& state);
 
-  /// Make the live ids of `merged` ((rank, id) pairs, rank-sorted) the next
-  /// frontier.
-  void assemble_frontier(const std::vector<std::pair<std::uint64_t, std::uint64_t>>& merged);
-
   /// Store the initial state and seed the frontier.
-  std::uint64_t seed_initial();
+  void seed_initial();
+
+  /// What ends a run of the wave loop before the frontier empties.
+  enum class Stop {
+    kNever,     ///< full sweep
+    kGoal,      ///< first live frontier state satisfying goal_
+    kTimelock,  ///< first timelocked state (records the first quiescent one)
+  };
+  /// Where a run of the wave loop ended.
+  struct WaveEnd {
+    std::optional<std::uint64_t> stop;       ///< the goal or timelock state
+    std::optional<std::uint64_t> quiescent;  ///< first quiescent state (kTimelock)
+  };
+
+  /// The one wave loop: seed (warm or cold), then per wave stop at the
+  /// first goal state (kGoal), generate successors, visit the live frontier
+  /// in rank order up to the first timelock (kTimelock), and insert the
+  /// wave. Only a run that empties the frontier exports its store.
+  WaveEnd run_waves(const Visitor& visit, Stop stop);
 
   /// Generate successors for the whole frontier in parallel into
-  /// wave_succs_ / wave_blocked_. `compute_goal` also evaluates the goal
-  /// formula per successor; `compute_blocked` evaluates timelock-ness of
-  /// successor-free states.
-  void generate_wave(bool compute_goal, bool compute_blocked);
+  /// wave_succs_ / wave_blocked_. `compute_blocked` evaluates
+  /// timelock-ness of successor-free states.
+  void generate_wave(bool compute_blocked);
 
-  /// Insert the whole wave shard-parallel in rank order and assemble the
-  /// next frontier (rank-sorted). Accounts states_explored /
-  /// transitions_fired for the full wave.
+  /// Insert the whole wave shard-parallel in rank order, check the state
+  /// cap, and assemble the next frontier (rank-sorted). Accounts
+  /// states_explored / transitions_fired for the full wave.
   void insert_wave();
-
-  /// Insert a wave containing goal candidates, shard-parallel in bounded
-  /// rank chunks, stopping after the chunk holding the first accepted goal
-  /// in global rank order. Returns true (with `result` filled, statistics
-  /// reconstructed to the sequential engine's early-exit accounting) when a
-  /// goal was accepted; false when every candidate was subsumed — the next
-  /// frontier is then assembled exactly like insert_wave().
-  bool insert_terminal_wave(ReachResult& result);
 
   /// Run body(i) for i in [0, n) on the pool (created lazily) or inline.
   void run_parallel(std::size_t n, const std::function<void(std::size_t)>& body);
@@ -288,7 +286,7 @@ class Reachability {
   /// always expanded: the ancestor may never have expanded them (they were
   /// dead there, and the edit may have revived them), and quiescence and
   /// timelocks are re-detected by actual generation, never trusted.
-  bool seed_from_store(const std::function<void(const SymState&, std::uint64_t)>& visit);
+  bool seed_from_store(const Visitor& visit);
 
   /// Assemble the export of a completed capture run.
   PassedStoreExport build_export() const;
@@ -317,18 +315,5 @@ class Reachability {
   std::vector<std::uint64_t> order_;
   std::optional<PassedStoreExport> export_;
 };
-
-/// Convenience single-call reachability: is some state satisfying `goal`
-/// reachable in `net`?
-ReachResult reachable(const ta::Network& net, const StateFormula& goal, ExploreOptions opts = {});
-
-/// Convenience safety check: does `bad` never occur? (A[] !bad)
-/// Returns the ReachResult of the violation search; `holds` iff unreachable.
-struct SafetyResult {
-  bool holds = false;
-  ReachResult violation;
-};
-SafetyResult holds_always_not(const ta::Network& net, const StateFormula& bad,
-                              ExploreOptions opts = {});
 
 }  // namespace psv::mc

@@ -76,10 +76,6 @@ MaxClockResult VerificationSession::max_clock_value(const BoundQuery& query) {
   return std::move(max_clock_values(batch).front());
 }
 
-std::vector<RankedWitness> VerificationSession::top_traces(const BoundQuery& query) {
-  return std::move(max_clock_value(query).ranked);
-}
-
 VerificationSession::BatchReport VerificationSession::verify_batch(
     const std::vector<BoundQuery>& queries, const std::vector<ta::VarId>& flags) {
   BatchReport report;
@@ -121,7 +117,7 @@ void VerificationSession::ensure_flag_sweep() {
   // an export as a bounds sweep's; capture one if the session has none yet.
   const bool capture = exported_ == nullptr;
   if (capture) engine.enable_capture();
-  deadlock_ = engine.find_deadlock([this](const SymState& state) {
+  deadlock_ = engine.find_deadlock([this](const SymState& state, std::uint64_t) {
     for (std::size_t v = 0; v < state.vars.size(); ++v)
       if (state.vars[v] == 1) var_seen_one_[v] = true;
   });
@@ -175,24 +171,6 @@ ReachResult VerificationSession::query_reachable(const StateFormula& goal) {
   return r;
 }
 
-BoundedResponseResult VerificationSession::check_bounded_response(const StateFormula& pending,
-                                                                 ta::ClockId clock,
-                                                                 std::int64_t delta) {
-  const Digest128 key = bounded_response_digest(fingerprint_.ids, pending, clock, delta);
-  ++stats_.queries;
-  if (const auto hit = response_cache_.find(key); hit != response_cache_.end()) {
-    ++stats_.cache_hits;
-    return hit->second;
-  }
-  BoundedResponseResult r = mc::check_bounded_response(net_, pending, clock, delta, opts_);
-  accumulate_stats(stats_.explore, r.stats);
-  ++stats_.explorations;
-  response_cache_.emplace(key, r);
-  ++stats_.entries_added;
-  dirty_ = true;
-  return r;
-}
-
 bool VerificationSession::load(const ArtifactStore& store) {
   std::optional<VerificationArtifact> artifact = store.load(cache_key_);
   if (!artifact) return false;
@@ -207,10 +185,6 @@ bool VerificationSession::load(const ArtifactStore& store) {
   }
   for (VerificationArtifact::ReachEntry& entry : artifact->reaches) {
     if (reach_cache_.emplace(entry.query, std::move(entry.result)).second)
-      ++stats_.entries_loaded;
-  }
-  for (VerificationArtifact::ResponseEntry& entry : artifact->responses) {
-    if (response_cache_.emplace(entry.query, std::move(entry.result)).second)
       ++stats_.entries_loaded;
   }
   // Carry the persisted store forward: it is this session's export until a
@@ -256,12 +230,6 @@ bool VerificationSession::store(const ArtifactStore& store) const {
   std::sort(artifact.reaches.begin(), artifact.reaches.end(),
             [](const VerificationArtifact::ReachEntry& a,
                const VerificationArtifact::ReachEntry& b) { return a.query < b.query; });
-  artifact.responses.reserve(response_cache_.size());
-  for (const auto& [key, result] : response_cache_)
-    artifact.responses.push_back(VerificationArtifact::ResponseEntry{key, result});
-  std::sort(artifact.responses.begin(), artifact.responses.end(),
-            [](const VerificationArtifact::ResponseEntry& a,
-               const VerificationArtifact::ResponseEntry& b) { return a.query < b.query; });
   artifact.skeleton = skeleton_;
   if (exported_ != nullptr) artifact.store = *exported_;
   return store.store(cache_key_, artifact);

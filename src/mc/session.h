@@ -84,14 +84,6 @@ class VerificationSession {
   /// Single-query convenience; identical answers to the batched form.
   MaxClockResult max_clock_value(const BoundQuery& query);
 
-  /// Ranked top-K critical traces of one bound query (the slack surface's
-  /// trace feed): the memoized result's ranked witnesses, most critical
-  /// first — up to query.top_k entries, ranked[0] being the maximum. Served
-  /// from the memo when the query was answered before, so a warm-loaded
-  /// session (artifact format v3 persists the ranked payload) returns
-  /// replayable critical traces without exploring a single state.
-  std::vector<RankedWitness> top_traces(const BoundQuery& query);
-
   /// Reachability of `flag == 1` for each sticky flag, plus the
   /// deadlock/timelock search, from one shared full-space exploration. The
   /// exploration is cached: later calls (any flag set) are free. When a
@@ -129,11 +121,6 @@ class VerificationSession {
   /// served from the memo with zero exploration.
   ReachResult query_reachable(const StateFormula& goal);
 
-  /// Bounded-response check A[](pending => clock <= delta). Memoized
-  /// (bounded_response_digest-keyed) and persisted, like query_reachable().
-  BoundedResponseResult check_bounded_response(const StateFormula& pending, ta::ClockId clock,
-                                               std::int64_t delta);
-
   // --- Incremental exploration (warm start) --------------------------------
 
   /// Adopt `ancestor` as the warm-start seed for every sweep this session
@@ -162,8 +149,8 @@ class VerificationSession {
   /// already answered are kept; call load() before querying for full effect.
   bool load(const ArtifactStore& store);
 
-  /// Persist the memo (answered bounds, reachability and bounded-response
-  /// results, the shared flag sweep, and the exported passed store) under
+  /// Persist the memo (answered bounds, reachability results, the shared
+  /// flag sweep, and the exported passed store) under
   /// cache_key(). Skips the write and returns false when the session holds
   /// nothing beyond what load() brought in.
   bool store(const ArtifactStore& store) const;
@@ -208,7 +195,6 @@ class VerificationSession {
 
   std::unordered_map<Digest128, MaxClockResult, Digest128Hash> bound_cache_;
   std::unordered_map<Digest128, ReachResult, Digest128Hash> reach_cache_;
-  std::unordered_map<Digest128, BoundedResponseResult, Digest128Hash> response_cache_;
 
   // Incremental exploration: the adopted ancestor store and this session's
   // own export (fresh capture, or carried over from a warm load).

@@ -89,21 +89,15 @@ mc::VerificationArtifact sample_artifact() {
   artifact.deadlock.trace.steps = {{"delay", "(L0, M0) vars{} zone{}"}};
   artifact.deadlock.stats = {100, 90, 300, 12};
 
-  // v4 payload: memoized reachability / bounded-response results, the
-  // skeleton digest, and a small passed store. The fuzzing tests below
-  // corrupt (and truncate inside) these bytes too.
+  // v4 payload: memoized reachability results, the skeleton digest, and a
+  // small passed store. The fuzzing tests below corrupt (and truncate
+  // inside) these bytes too.
   mc::VerificationArtifact::ReachEntry reach;
   reach.query = Digest128{0x5555, 0x6666};
   reach.result.reachable = true;
   reach.result.trace.steps = {{"P.L0->L1[ch!]", "(L1, M0) vars{a=1} zone{x<=5}"}};
   reach.result.stats = {40, 33, 80, 4};
   artifact.reaches.push_back(reach);
-  mc::VerificationArtifact::ResponseEntry response;
-  response.query = Digest128{0x7777, 0x9999};
-  response.result.holds = false;
-  response.result.violation.steps = {{"delay", "(L1, M0) vars{} zone{t>80}"}};
-  response.result.stats = {41, 34, 81, 5};
-  artifact.responses.push_back(response);
   artifact.skeleton = Digest128{0xbbbb, 0xcccc};
 
   mc::PassedStoreExport store;
@@ -170,13 +164,6 @@ void expect_artifacts_equal(const mc::VerificationArtifact& a, const mc::Verific
     EXPECT_EQ(a.reaches[i].result.reachable, b.reaches[i].result.reachable);
     EXPECT_EQ(a.reaches[i].result.trace.to_string(), b.reaches[i].result.trace.to_string());
     EXPECT_EQ(a.reaches[i].result.stats.states_explored, b.reaches[i].result.stats.states_explored);
-  }
-  ASSERT_EQ(a.responses.size(), b.responses.size());
-  for (std::size_t i = 0; i < a.responses.size(); ++i) {
-    EXPECT_EQ(a.responses[i].query, b.responses[i].query);
-    EXPECT_EQ(a.responses[i].result.holds, b.responses[i].result.holds);
-    EXPECT_EQ(a.responses[i].result.violation.to_string(),
-              b.responses[i].result.violation.to_string());
   }
   EXPECT_EQ(a.skeleton, b.skeleton);
   ASSERT_EQ(a.store.has_value(), b.store.has_value());
@@ -314,9 +301,9 @@ TEST(ArtifactHardening, VersionAndEndiannessMismatchesAreRejected) {
   write_file_bytes(store.path_of(key), bumped);
   EXPECT_FALSE(store.load(key).has_value());
 
-  // A stale v3 file (no reach/response memos, no skeleton, no passed store)
-  // is rejected the same way: a warned miss that makes the session
-  // re-explore and overwrite it with the current format.
+  // A stale file of the previous version (v5: it still carries the
+  // bounded-response memo) is rejected the same way: a warned miss that
+  // makes the session re-explore and overwrite it with the current format.
   std::vector<std::uint8_t> stale = pristine;
   stale[4] = static_cast<std::uint8_t>(mc::kArtifactFormatVersion - 1);
   write_file_bytes(store.path_of(key), stale);
@@ -443,7 +430,7 @@ TEST(SessionPersistence, WarmSlackQueriesServeRankedTracesWithoutExploration) {
 
   mc::VerificationSession warm(net, {});
   ASSERT_TRUE(warm.load(store));
-  const std::vector<mc::RankedWitness> warm_traces = warm.top_traces(query);
+  const std::vector<mc::RankedWitness> warm_traces = warm.max_clock_value(query).ranked;
   const mc::MaxClockResult warm_result = warm.max_clock_value(query);
   EXPECT_EQ(warm.stats().explorations, 0) << "warm slack queries must not explore";
   EXPECT_EQ(warm.stats().explore.states_explored, 0u);
@@ -667,6 +654,35 @@ TEST(WarmColdDifferential, SchemeEditOnlyInvalidatesDownstreamStages) {
   // sweep (attributed to the constraints stage), so the re-verification
   // shows up as fresh exploration across the two stages together.
   EXPECT_GT(psm_explorations, 0) << "scheme edit must re-explore the PSM";
+}
+
+// Regression: the pim-verification stage reports every warm-start counter
+// of its session, not just the cold-run ones. A constant-only PIM edit keeps
+// the skeleton, so the edited PIM warm-starts from the stored one and
+// re-validates the states whose zones the new constants touch.
+TEST(WarmColdDifferential, PimStageReportsWarmStartCounters) {
+  const std::string model = read_model("quickstart.psv");
+  const std::string edited_model =
+      replace_all(replace_all(model, "x <= 80", "x <= 85"), "x >= 30", "x >= 35");
+  ASSERT_NE(edited_model, model);
+  auto request_for = [](const std::string& model_text) {
+    core::SourceRequest source;
+    source.model_source = model_text;
+    source.scheme_sources = {read_model("fast.pss")};
+    source.requirements = {{"QREQ", "Req", "Ack", 80}};
+    return core::to_verify_request(source);
+  };
+
+  TempCacheDir dir;
+  core::Verifier(core::Verifier::Config{dir.str()}).verify(request_for(model));
+  const core::VerifyReport report =
+      core::Verifier(core::Verifier::Config{dir.str()}).verify(request_for(edited_model));
+  ASSERT_EQ(report.pim_stages.size(), 1u);
+  const core::VerifyStageStats& pim = report.pim_stages.front();
+  EXPECT_EQ(pim.name, "pim-verification");
+  EXPECT_GT(pim.explore.warm_states_revalidated, 0u)
+      << "the edited PIM must warm-start and re-validate states";
+  EXPECT_GT(pim.explore.warm_seed_expansions, 0u);
 }
 
 // Regression: warm-started traces are rendered from the network that adopts

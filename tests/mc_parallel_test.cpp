@@ -9,6 +9,7 @@
 // are part of the `fast` label so the ASan+UBSan CI job runs them.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -239,6 +240,50 @@ TEST(ParallelStress, ReachabilityGoalDeterministicUnderParallelism) {
         << "jobs=1: " << stats_str(results[0].stats) << "\njobs=" << kJobCounts[i] << ": "
         << stats_str(results[i].stats);
   }
+}
+
+// Goal search and the full sweep run the same wave loop: a goal is
+// reachable exactly when some state the sweep visits satisfies it, and the
+// goal search's trace leads to the first such visit — one step per wave.
+TEST(ParallelStress, GoalSearchMatchesFirstSatisfyingVisitAcrossJobs) {
+  int reachable_goals = 0;
+  int unreachable_goals = 0;
+  for (const std::uint64_t seed : {3u, 7u, 11u, 2015u}) {
+    const Network net = stress_net(3, seed);
+    std::vector<mc::StateFormula> goals;
+    for (const int count : {0, 2, 5, 9, 10})  // the counter saturates at 9
+      goals.push_back(mc::when(var_eq(0, count)));
+    for (const std::int32_t late : {5, 7}) {
+      mc::StateFormula goal = mc::at(net, "W1", "L2");
+      goal.and_clock(cc_gt(*net.clock_by_name("x1"), late));
+      goals.push_back(goal);
+    }
+    for (const mc::StateFormula& goal : goals) {
+      for (unsigned jobs : kJobCounts) {
+        mc::ExploreOptions opts;
+        opts.jobs = jobs;
+        mc::Reachability sweep(net, goal, opts);
+        std::optional<std::uint64_t> first;
+        sweep.explore_all([&](const mc::SymState& state, std::uint64_t id) {
+          if (!first && mc::satisfies(net, state, goal)) first = id;
+        });
+        const mc::ReachResult r = mc::reachable(net, goal, opts);
+        ASSERT_EQ(r.reachable, first.has_value()) << "seed " << seed << " jobs " << jobs;
+        if (!first) {
+          ++unreachable_goals;
+          continue;
+        }
+        ++reachable_goals;
+        // A state visited in wave w has a w-step parent chain.
+        const mc::Trace visited = sweep.trace_of(*first);
+        const std::size_t wave = visited.steps.size() - 1;
+        EXPECT_EQ(r.trace.steps.size() - 1, wave) << "seed " << seed << " jobs " << jobs;
+        EXPECT_EQ(r.trace.to_string(), visited.to_string()) << "seed " << seed << " jobs " << jobs;
+      }
+    }
+  }
+  EXPECT_GT(reachable_goals, 0);
+  EXPECT_GT(unreachable_goals, 0);
 }
 
 TEST(ParallelStress, MaxStatesCapStillEnforcedUnderParallelism) {

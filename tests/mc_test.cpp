@@ -566,8 +566,8 @@ TEST(Engine, SafetyWrapper) {
   Network net = request_response_net();
   StateFormula bad = at(net, "ENV", "Await");
   bad.and_clock(cc_gt(0, 600));
-  SafetyResult r = holds_always_not(net, bad);
-  EXPECT_TRUE(r.holds);
+  // A[] !bad holds iff bad is unreachable.
+  EXPECT_FALSE(reachable(net, bad).reachable);
 }
 
 }  // namespace

@@ -94,7 +94,7 @@ TEST(SlackTraces, PumpTopKTracesReplayExactlySweep) {
 
   // Ranked traces are served from the session memo: no new exploration.
   const int explorations = session.stats().explorations;
-  const std::vector<mc::RankedWitness> again = session.top_traces(batch[0]);
+  const std::vector<mc::RankedWitness> again = session.max_clock_value(batch[0]).ranked;
   EXPECT_EQ(session.stats().explorations, explorations);
   ASSERT_EQ(again.size(), results[0].ranked.size());
   for (std::size_t i = 0; i < again.size(); ++i) {
