@@ -199,7 +199,7 @@ std::shared_ptr<Verifier::Slot> Verifier::acquire(ta::Network&& net,
   // Construct outside the pool lock: fingerprinting and the network copy
   // dominate the cost, and a losing racer merely discards its session.
   mc::VerificationSession session(std::move(net), explore);
-  // The pool key extends the (rename/reorder-invariant) artifact cache key
+  // The pool key extends the (edge/conjunct-reorder-invariant) artifact key
   // with a digest of the RAW network rendering. Callers query pooled
   // sessions with raw clock/variable ids, so two semantically equal but
   // differently declared networks must NOT share a slot — only the

@@ -33,19 +33,31 @@ Dbm Dbm::universal(int num_clocks) {
 }
 
 void Dbm::canonicalize() {
-  for (int k = 0; k < dim_; ++k) {
-    for (int i = 0; i < dim_; ++i) {
-      const raw_t dik = at(i, k);
+  // Floyd-Warshall over row pointers. The inner loop is branch-free: dik is
+  // finite there, so add(dik, dkj) saturates exactly when dkj does, and the
+  // relaxation is a plain min. Unsigned arithmetic keeps out-of-range input
+  // (a corrupt artifact) defined; every in-range sum is exact.
+  const std::size_t n = static_cast<std::size_t>(dim_);
+  raw_t* const d = data_.data();
+  for (std::size_t k = 0; k < n; ++k) {
+    const raw_t* const rk = d + k * n;
+    for (std::size_t i = 0; i < n; ++i) {
+      raw_t* const ri = d + i * n;
+      const raw_t dik = ri[k];
       if (is_inf(dik)) continue;
-      for (int j = 0; j < dim_; ++j) {
-        const raw_t via = add(dik, at(k, j));
-        if (via < at(i, j)) set(i, j, via);
+      for (std::size_t j = 0; j < n; ++j) {
+        const raw_t dkj = rk[j];
+        const raw_t sum = static_cast<raw_t>(static_cast<std::uint32_t>(dik) +
+                                             static_cast<std::uint32_t>(dkj) -
+                                             static_cast<std::uint32_t>((dik | dkj) & 1));
+        const raw_t via = dkj >= kInf ? kInf : sum;
+        ri[j] = via < ri[j] ? via : ri[j];
       }
     }
   }
   empty_ = false;
-  for (int i = 0; i < dim_; ++i) {
-    if (at(i, i) < kLeZero) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (d[i * n + i] < kLeZero) {
       empty_ = true;
       return;
     }
@@ -123,6 +135,23 @@ bool Dbm::includes(const Dbm& other) const {
     for (int j = 0; j < dim_; ++j)
       if (other.at(i, j) > at(i, j)) return false;
   return true;
+}
+
+Relation relation(const raw_t* a, const raw_t* b, int dim) {
+  const std::size_t n = static_cast<std::size_t>(dim) * static_cast<std::size_t>(dim);
+  bool subset = true;    // every a entry <= its b entry: a ⊆ b
+  bool superset = true;  // every a entry >= its b entry: a ⊇ b
+  for (std::size_t k = 0; k < n; ++k) {
+    subset = subset && a[k] <= b[k];
+    superset = superset && a[k] >= b[k];
+    if (!subset && !superset) return Relation::kDifferent;
+  }
+  return static_cast<Relation>((subset ? 1u : 0u) | (superset ? 2u : 0u));
+}
+
+Relation relation(const Dbm& a, const Dbm& b) {
+  PSV_ASSERT(a.dim() == b.dim(), "zone dimension mismatch");
+  return relation(a.raw(), b.raw(), a.dim());
 }
 
 bool Dbm::intersects(int i, int j, raw_t bound) const {

@@ -34,6 +34,9 @@ class Dbm {
   int dim() const { return dim_; }
 
   raw_t at(int i, int j) const { return data_[static_cast<std::size_t>(i * dim_ + j)]; }
+  /// The dim() x dim() entries, row-major. Moving the Dbm keeps the pointer
+  /// valid; assigning to it or destroying it does not.
+  const raw_t* raw() const { return data_.data(); }
   /// Raw entry write; invalidates canonical form until canonicalize().
   void set(int i, int j, raw_t b) { data_[static_cast<std::size_t>(i * dim_ + j)] = b; }
 
@@ -88,5 +91,23 @@ class Dbm {
   bool empty_ = false;
   std::vector<raw_t> data_;
 };
+
+/// Inclusion between two zones of one dimension, as bit flags.
+enum class Relation : unsigned {
+  kDifferent = 0,  ///< neither includes the other
+  kSubset = 1,     ///< a ⊆ b
+  kSuperset = 2,   ///< a ⊇ b
+  kEqual = 3,      ///< a = b (both flags)
+};
+
+inline bool has(Relation r, Relation flag) {
+  return (static_cast<unsigned>(r) & static_cast<unsigned>(flag)) != 0;
+}
+
+/// Both inclusion directions between two canonical, non-empty matrices of
+/// dimension `dim` (row-major, as Dbm::raw) in one walk, which stops as
+/// soon as neither direction can hold.
+Relation relation(const raw_t* a, const raw_t* b, int dim);
+Relation relation(const Dbm& a, const Dbm& b);
 
 }  // namespace psv::dbm

@@ -122,11 +122,13 @@ MaxClockResult read_max_clock_result(ByteReader& in) {
 
 }  // namespace
 
-ArtifactKey artifact_key(const ta::NetworkFingerprint& fp, const ExploreOptions& opts) {
+ArtifactKey artifact_key(const ta::NetworkFingerprint& fp, const Digest128& names,
+                         const ExploreOptions& opts) {
   Hasher128 h;
   h.str("psv-artifact-key");
   h.u32(kArtifactFormatVersion);
   h.u64(fp.digest.hi).u64(fp.digest.lo);
+  h.u64(names.hi).u64(names.lo);
   // Only the knob that can change results: the state cap can turn a run
   // into an error. jobs is excluded — exploration is deterministic across
   // thread counts by construction.

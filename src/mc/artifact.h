@@ -7,6 +7,9 @@
 //
 //   { canonical network fingerprint (ta::fingerprint — probe instrumentation
 //     is part of the network, so the probe set is part of the key),
+//     the network's names (ta::names_digest — stored traces are rendered
+//     text, so a rename must miss; it still warm-starts from the original's
+//     passed store, which is matched by skeleton),
 //     the ExploreOptions knob that can affect results (max_states; jobs is
 //     excluded — exploration is deterministic across thread counts),
 //     the artifact format version }.
@@ -53,7 +56,9 @@ namespace psv::mc {
 /// persisted statistics of goal searches and timelock-aborted sweeps follow
 /// the single wave loop (a goal search stops before expanding the goal's
 /// wave; a timelock commits none of its wave's successors).
-inline constexpr std::uint32_t kArtifactFormatVersion = 6;
+/// Version 7: the key carries ta::names_digest, so a rename-only edit is a
+/// miss instead of serving traces that name the old locations.
+inline constexpr std::uint32_t kArtifactFormatVersion = 7;
 
 /// Content-addressed cache key; hex() names the artifact file.
 struct ArtifactKey {
@@ -65,8 +70,10 @@ struct ArtifactKey {
   }
 };
 
-/// Compose the cache key for a fingerprinted network under `opts`.
-ArtifactKey artifact_key(const ta::NetworkFingerprint& fp, const ExploreOptions& opts);
+/// Compose the cache key for a fingerprinted network, with the
+/// ta::names_digest of the same network, under `opts`.
+ArtifactKey artifact_key(const ta::NetworkFingerprint& fp, const Digest128& names,
+                         const ExploreOptions& opts);
 
 // Shared serde helpers for engine result payloads. Used by the artifact
 // format below and by the report serialization of the wire protocol

@@ -60,36 +60,46 @@ Reachability::Reachability(const ta::Network& net, const StateFormula& goal, Exp
 
 Reachability::~Reachability() = default;
 
-std::optional<std::uint32_t> Reachability::find_cover(const Shard& shard,
-                                                      const std::vector<std::uint32_t>& bucket,
-                                                      const SymState& state) {
-  for (std::uint32_t idx : bucket) {
-    const Stored& existing = shard.arena[idx];
-    if (existing.state.same_discrete(state) && existing.state.zone.includes(state.zone))
-      return idx;
-  }
-  return std::nullopt;
+Reachability::Bucket& Reachability::bucket_of(Shard& shard, const SymState& state,
+                                              std::size_t hash) {
+  auto it = shard.passed.find(DiscreteProbe{state, hash});
+  if (it == shard.passed.end())
+    it = shard.passed.emplace(DiscreteKey{state.locs, state.vars, hash}, Bucket{}).first;
+  return it->second;
 }
 
-void Reachability::evict_covered(Shard& shard, std::vector<std::uint32_t>& bucket,
-                                 const SymState& state) {
-  // Arena entries stay (parent chains, traces and the export need them);
-  // the dead bit keeps them out of every frontier assembled from now on.
-  std::erase_if(bucket, [&](std::uint32_t idx) {
-    Stored& existing = shard.arena[idx];
-    if (!existing.state.same_discrete(state) || !state.zone.includes(existing.state.zone))
-      return false;
-    existing.dead = true;
-    return true;
-  });
+std::optional<std::uint32_t> Reachability::cover_or_evict(Shard& shard, Bucket& bucket,
+                                                          const dbm::Dbm& zone) {
+  // One walk per live zone answers both inclusion directions. The live list
+  // is an antichain, so a covered zone can have evicted nothing before its
+  // cover is found, and the first cover is the first in insertion order.
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < bucket.size(); ++k) {
+    const LiveZone live = bucket[k];
+    const dbm::Relation rel = dbm::relation(zone.raw(), live.matrix, zone.dim());
+    if (dbm::has(rel, dbm::Relation::kSubset)) {
+      PSV_ASSERT(kept == k, "the live zones of a bucket must form an antichain");
+      return live.index;
+    }
+    if (dbm::has(rel, dbm::Relation::kSuperset)) {
+      // The arena entry stays (parent chains, traces and the export need
+      // it); the dead bit keeps it out of every frontier assembled from now
+      // on.
+      shard.arena[live.index].dead = true;
+      continue;
+    }
+    bucket[kept++] = live;
+  }
+  bucket.resize(kept);
+  return std::nullopt;
 }
 
 std::optional<std::uint64_t> Reachability::insert(GenSucc&& gs, std::uint64_t parent) {
   SymState& state = gs.state;
   const std::size_t shard_index = shard_of(gs.hash, kNumShards);
   Shard& shard = shards_[shard_index];
-  auto& bucket = shard.passed[gs.hash];
-  if (const auto idx = find_cover(shard, bucket, state)) {
+  Bucket& bucket = bucket_of(shard, state, gs.hash);
+  if (const auto idx = cover_or_evict(shard, bucket, state.zone)) {
     ++shard.subsumed;
     // The subsumer now covers every behavior of the pruned successor; the
     // export records that obligation against the parent.
@@ -97,7 +107,6 @@ std::optional<std::uint64_t> Reachability::insert(GenSucc&& gs, std::uint64_t pa
       shard.cover_events.emplace_back(parent, pack_id(shard_index, *idx));
     return std::nullopt;
   }
-  evict_covered(shard, bucket, state);
 
   // The cap itself is checked at the wave barrier in insert_wave() — a
   // check-then-act on the shared counter here would race — where it is
@@ -112,7 +121,8 @@ std::optional<std::uint64_t> Reachability::insert(GenSucc&& gs, std::uint64_t pa
   const std::size_t local = shard.arena.size();
   shard.arena.push_back(
       Stored{std::move(state), parent, std::move(gs.edges), std::move(gs.pre_zone), gs.pre_differs});
-  bucket.push_back(static_cast<std::uint32_t>(local));
+  bucket.push_back(
+      LiveZone{shard.arena.back().state.zone.raw(), static_cast<std::uint32_t>(local)});
   total_stored_.fetch_add(1, std::memory_order_relaxed);
   return pack_id(shard_index, local);
 }
@@ -477,19 +487,17 @@ bool Reachability::seed_from_store(const Visitor& visit) {
     const std::size_t hash = state.discrete_hash();
     const std::size_t shard_index = shard_of(hash, kNumShards);
     Shard& shard = shards_[shard_index];
-    auto& bucket = shard.passed[hash];
-    const bool subsumed = find_cover(shard, bucket, state).has_value();
-    if (subsumed) {
-      ++shard.subsumed;
-    } else {
-      evict_covered(shard, bucket, state);
-    }
+    Bucket& bucket = bucket_of(shard, state, hash);
+    const bool subsumed = cover_or_evict(shard, bucket, state.zone).has_value();
+    if (subsumed) ++shard.subsumed;
     const std::size_t local = shard.arena.size();
     const std::uint64_t parent_id =
         i == 0 ? kNoParent : packed[static_cast<std::size_t>(entry.parent)];
     shard.arena.push_back(Stored{std::move(state), parent_id, entry.edges, std::move(pre),
                                  pre_differs, /*dead=*/subsumed});
-    if (!subsumed) bucket.push_back(static_cast<std::uint32_t>(local));
+    if (!subsumed)
+      bucket.push_back(
+          LiveZone{shard.arena.back().state.zone.raw(), static_cast<std::uint32_t>(local)});
     total_stored_.fetch_add(1, std::memory_order_relaxed);
     packed[i] = pack_id(shard_index, local);
     if (capture_) order_.push_back(packed[i]);

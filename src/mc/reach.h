@@ -49,6 +49,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -187,13 +188,54 @@ class Reachability {
     bool dead = false;
   };
 
+  /// The key of a passed-list bucket: one exact discrete part (locations +
+  /// variables) with its discrete_hash. The map compares the parts, so two
+  /// discrete states whose hashes collide get separate buckets.
+  struct DiscreteKey {
+    std::vector<ta::LocId> locs;
+    std::vector<std::int64_t> vars;
+    std::size_t hash = 0;
+  };
+  /// Looks a state's bucket up without copying its discrete part.
+  struct DiscreteProbe {
+    const SymState& state;
+    std::size_t hash = 0;
+  };
+  struct DiscreteHash {
+    using is_transparent = void;
+    std::size_t operator()(const DiscreteKey& key) const { return key.hash; }
+    std::size_t operator()(const DiscreteProbe& probe) const { return probe.hash; }
+  };
+  struct DiscreteEq {
+    using is_transparent = void;
+    bool operator()(const DiscreteKey& a, const DiscreteKey& b) const {
+      return a.locs == b.locs && a.vars == b.vars;
+    }
+    bool operator()(const DiscreteProbe& a, const DiscreteKey& b) const {
+      return a.state.locs == b.locs && a.state.vars == b.vars;
+    }
+    bool operator()(const DiscreteKey& a, const DiscreteProbe& b) const { return (*this)(b, a); }
+  };
+
+  /// A live zone of a bucket: its arena index and its matrix, which points
+  /// into that Stored's own zone buffer. Arena growth keeps the buffer only
+  /// because it moves entries instead of copying them.
+  static_assert(std::is_nothrow_move_constructible_v<Stored>);
+  struct LiveZone {
+    const dbm::raw_t* matrix;
+    std::uint32_t index;
+  };
+  /// The live zones of one discrete state in insertion order: an antichain
+  /// under inclusion.
+  using Bucket = std::vector<LiveZone>;
+
   /// One hash partition of the passed/waiting store. During a parallel
   /// insertion phase each shard is touched by exactly one worker
   /// ("owner-computes"), so no per-shard lock is needed.
   struct Shard {
     std::vector<Stored> arena;
-    /// discrete-hash -> arena indices with live (non-dead) zones.
-    std::unordered_map<std::size_t, std::vector<std::uint32_t>> passed;
+    /// Exact discrete state -> its live (non-dead) zones.
+    std::unordered_map<DiscreteKey, Bucket, DiscreteHash, DiscreteEq> passed;
     std::size_t subsumed = 0;
     /// (rank, id) pairs accepted in the current wave, rank-ascending.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> accepted;
@@ -230,15 +272,16 @@ class Reachability {
   /// shard at a time).
   std::optional<std::uint64_t> insert(GenSucc&& gs, std::uint64_t parent);
 
-  /// Index of a live zone in `bucket` that includes `state`'s zone (same
-  /// discrete part), if any.
-  static std::optional<std::uint32_t> find_cover(const Shard& shard,
-                                                 const std::vector<std::uint32_t>& bucket,
-                                                 const SymState& state);
+  /// The bucket of `state`'s discrete part (`hash` = its discrete_hash),
+  /// created empty on first use.
+  static Bucket& bucket_of(Shard& shard, const SymState& state, std::size_t hash);
 
-  /// Remove every zone `state` includes from `bucket` and mark it dead.
-  static void evict_covered(Shard& shard, std::vector<std::uint32_t>& bucket,
-                            const SymState& state);
+  /// The one inclusion pass over `bucket`: the arena index of the first live
+  /// zone that includes `zone`, if any; otherwise every live zone `zone`
+  /// includes leaves the bucket and is marked dead. The caller appends
+  /// `zone` itself once it is stored.
+  static std::optional<std::uint32_t> cover_or_evict(Shard& shard, Bucket& bucket,
+                                                     const dbm::Dbm& zone);
 
   /// Store the initial state and seed the frontier.
   void seed_initial();

@@ -11,7 +11,7 @@ VerificationSession::VerificationSession(ta::Network net, ExploreOptions opts)
     : net_(std::move(net)),
       opts_(opts),
       fingerprint_(ta::fingerprint(net_)),
-      cache_key_(artifact_key(fingerprint_, opts_)),
+      cache_key_(artifact_key(fingerprint_, ta::names_digest(net_), opts_)),
       skeleton_(ta::skeleton_digest(net_)) {}
 
 void VerificationSession::adopt_ancestor(std::shared_ptr<const PassedStoreExport> ancestor) {

@@ -158,8 +158,8 @@ class VerificationSession {
   /// True when load() populated this session from a persistent artifact.
   bool warm_loaded() const { return warm_loaded_; }
 
-  /// Content-addressed key of this session: {network fingerprint,
-  /// result-affecting options, artifact format version}.
+  /// Content-addressed key of this session: {network fingerprint, network
+  /// names, result-affecting options, artifact format version}.
   const ArtifactKey& cache_key() const { return cache_key_; }
 
   /// The canonical fingerprint of the session network.

@@ -26,10 +26,6 @@ std::size_t shard_of(std::size_t discrete_hash, std::size_t num_shards) {
   return static_cast<std::size_t>(z) & (num_shards - 1);
 }
 
-bool SymState::same_discrete(const SymState& other) const {
-  return locs == other.locs && vars == other.vars;
-}
-
 std::string SymState::to_string(const ta::Network& net) const {
   std::ostringstream os;
   os << "(";

@@ -23,9 +23,6 @@ struct SymState {
   /// states for inclusion checking.
   std::size_t discrete_hash() const;
 
-  /// Equality of the discrete part only.
-  bool same_discrete(const SymState& other) const;
-
   /// Render as "(Loc1, Loc2, ...) vars{...} zone{...}".
   std::string to_string(const ta::Network& net) const;
 };

@@ -395,4 +395,22 @@ Digest128 skeleton_digest(const Network& net) {
   return digest128(out.buffer().data(), out.size());
 }
 
+Digest128 names_digest(const Network& net) {
+  Hasher128 h;
+  h.str("psv-network-names");
+  h.u64(net.automata().size());
+  for (const Automaton& a : net.automata()) {
+    h.str(a.name());
+    h.u64(a.locations().size());
+    for (const Location& loc : a.locations()) h.str(loc.name);
+  }
+  h.u64(net.clocks().size());
+  for (const ClockDecl& d : net.clocks()) h.str(d.name);
+  h.u64(net.vars().size());
+  for (const VarDecl& d : net.vars()) h.str(d.name);
+  h.u64(net.channels().size());
+  for (const ChanDecl& d : net.channels()) h.str(d.name);
+  return h.digest();
+}
+
 }  // namespace psv::ta

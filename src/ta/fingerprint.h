@@ -8,8 +8,8 @@
 // change visible to the model checker (a guard constant, an edge retarget,
 // an invariant bound, a variable range, a channel kind, an initial location)
 // produces a different digest. The digest keys the persistent verification
-// cache (src/mc/artifact.h): semantic edits invalidate artifacts, formatting
-// edits do not.
+// cache (src/mc/artifact.h) together with names_digest(): semantic edits
+// and renames invalidate artifacts, reordered edges and conjuncts do not.
 //
 // Canonicalization:
 //   1. edges are ordered by a name/id-free structural skeleton (shape of the
@@ -78,6 +78,13 @@ NetworkFingerprint fingerprint(const Network& net);
 /// canonicalized: a reordered edge list changes raw indices, so it must
 /// (and does) change the skeleton.
 Digest128 skeleton_digest(const Network& net);
+
+/// Digest of every name a rendered trace can show — automata, their
+/// locations, clocks, variables and channels — in raw declaration order.
+/// fingerprint() is blind to names and declaration order by design; a
+/// cache whose entries carry rendered text keys on this digest as well, so
+/// a rename or a reorder never serves text written under the old names.
+Digest128 names_digest(const Network& net);
 
 // --- Canonical encoders shared with query-key computation (src/mc) --------
 //

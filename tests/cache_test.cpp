@@ -456,7 +456,7 @@ TEST(SessionPersistence, WarmSlackQueriesServeRankedTracesWithoutExploration) {
   EXPECT_EQ(shallow_result.ranked.size(), 1u);
 }
 
-TEST(SessionPersistence, WarmHitSurvivesRenamesAndDeclReorder) {
+TEST(SessionPersistence, RenameAndDeclReorderMissWithEqualBounds) {
   TempCacheDir dir;
   mc::ArtifactStore store(dir.str());
   const Network net = tiny_net();
@@ -465,8 +465,9 @@ TEST(SessionPersistence, WarmHitSurvivesRenamesAndDeclReorder) {
   ASSERT_TRUE(cold.store(store));
 
   // The "edited" model: same semantics, new names. (tiny_net declares t
-  // before x; here the reordered declarations and renames must still land
-  // on the same canonical key.)
+  // before x; here the declarations are reordered too.) The fingerprint
+  // stays equal, but stored traces name the old declarations, so the
+  // artifact key (which carries the names digest) must miss.
   Network edited("tiny-rewritten");
   const ClockId x2 = edited.add_clock("worker_clock");
   const ClockId t2 = edited.add_clock("probe_clock");
@@ -505,13 +506,14 @@ TEST(SessionPersistence, WarmHitSurvivesRenamesAndDeclReorder) {
   edited.add_automaton(std::move(m));
 
   mc::VerificationSession warm(edited, {});
-  EXPECT_TRUE(warm.load(store)) << "rename/reorder edit must still hit";
+  EXPECT_EQ(warm.fingerprint().digest, cold.fingerprint().digest);
+  EXPECT_FALSE(warm.load(store)) << "a rename/reorder edit must not serve the old names";
   mc::BoundQuery q;
   q.pred = mc::at(edited, "Environment", "Waiting");
   q.clock = t2;
   q.limit = 10'000;
   const mc::MaxClockResult warm_result = warm.max_clock_value(q);
-  EXPECT_EQ(warm.stats().explorations, 0);
+  EXPECT_GT(warm.stats().explorations, 0);
   EXPECT_EQ(warm_result.bound, cold_result.bound);
 }
 
@@ -685,6 +687,64 @@ TEST(WarmColdDifferential, PimStageReportsWarmStartCounters) {
   EXPECT_GT(pim.explore.warm_seed_expansions, 0u);
 }
 
+core::VerifyRequest quickstart_request(const std::string& model_text,
+                                       const std::string& scheme_text) {
+  core::SourceRequest source;
+  source.model_source = model_text;
+  source.scheme_sources = {scheme_text};
+  source.requirements = {{"QREQ", "Req", "Ack", 80}};
+  return core::to_verify_request(source);
+}
+
+// Every ranked critical trace of `report` replays against `request`'s PSM
+// and never names `stale` (a location of an earlier model).
+void expect_critical_traces_replay(const core::VerifyRequest& request,
+                                   const core::VerifyReport& report, const std::string& stale) {
+  const core::PsmArtifacts psm =
+      core::transform(request.pim, *request.info, request.schemes.at(0));
+  const core::InstrumentedPsmBatch instrumented =
+      core::instrument_psm_for_requirements(psm, request.requirements);
+  const core::RequirementSlack& slack = report.schemes.at(0).slack.requirements.at(0);
+  ASSERT_FALSE(slack.critical.empty());
+  for (std::size_t k = 0; k < slack.critical.size(); ++k) {
+    const mc::Trace& trace = slack.critical[k].trace;
+    const sim::ReplayResult replay = sim::replay_trace(instrumented.net, trace, slack.witness_consts);
+    EXPECT_TRUE(replay.ok) << "critical trace " << k << ": " << replay.error;
+    EXPECT_EQ(trace.to_string().find(stale), std::string::npos)
+        << "critical trace " << k << " names a location of the ancestor model";
+  }
+}
+
+std::size_t psm_warm_reused(const core::VerifyReport& report) {
+  std::size_t reused = 0;
+  for (const core::VerifyStageStats& stage : report.schemes.at(0).stages)
+    reused += stage.explore.warm_states_reused;
+  return reused;
+}
+
+// Regression: a rename-only edit keeps the fingerprint, so under a
+// name-blind key it was a memo hit serving traces that named the old
+// locations (and `--monitor-check` could not match their labels). The key
+// carries the names digest: the renamed model misses, warm-starts from the
+// original's passed store, and renders its traces with the new names.
+TEST(WarmColdDifferential, RenameOnlyEditMissesAndRendersNewNames) {
+  const std::string model = read_model("quickstart.psv");
+  const std::string scheme = read_model("fast.pss");
+  const std::string renamed = replace_all(model, "Working", "Busy");
+  ASSERT_NE(renamed, model);
+
+  TempCacheDir dir;
+  const core::VerifyReport cold =
+      core::Verifier(core::Verifier::Config{dir.str()}).verify(quickstart_request(model, scheme));
+  const core::VerifyRequest edited = quickstart_request(renamed, scheme);
+  const core::VerifyReport report = core::Verifier(core::Verifier::Config{dir.str()}).verify(edited);
+
+  EXPECT_GT(psm_warm_reused(report), 0u) << "the renamed PSM must warm-start, not hit the memo";
+  EXPECT_EQ(report.schemes.at(0).slack.to_string(3),
+            replace_all(cold.schemes.at(0).slack.to_string(3), "Working", "Busy"));
+  expect_critical_traces_replay(edited, report, "Working");
+}
+
 // Regression: warm-started traces are rendered from the network that adopts
 // the ancestor store, never copied from it. Ancestors are matched by
 // skeleton, which masks names, so a model with a renamed location AND a
@@ -700,36 +760,14 @@ TEST(WarmColdDifferential, RenamedAndEditedWarmStartTracesReplay) {
   const std::size_t ack_delay = edited_scheme.find("delay 1 3", edited_scheme.find("output Ack"));
   ASSERT_NE(ack_delay, std::string::npos);
   edited_scheme.replace(ack_delay, 9, "delay 1 4");
-  auto request_for = [](const std::string& model_text, const std::string& scheme_text) {
-    core::SourceRequest source;
-    source.model_source = model_text;
-    source.scheme_sources = {scheme_text};
-    source.requirements = {{"QREQ", "Req", "Ack", 80}};
-    return core::to_verify_request(source);
-  };
 
   TempCacheDir dir;
-  core::Verifier(core::Verifier::Config{dir.str()}).verify(request_for(model, scheme));
-  const core::VerifyRequest edited = request_for(renamed, edited_scheme);
+  core::Verifier(core::Verifier::Config{dir.str()}).verify(quickstart_request(model, scheme));
+  const core::VerifyRequest edited = quickstart_request(renamed, edited_scheme);
   const core::VerifyReport report = core::Verifier(core::Verifier::Config{dir.str()}).verify(edited);
 
-  std::size_t reused = 0;
-  for (const core::VerifyStageStats& stage : report.schemes.at(0).stages)
-    reused += stage.explore.warm_states_reused;
-  EXPECT_GT(reused, 0u) << "the edited PSM must warm-start from the stored one";
-
-  const core::PsmArtifacts psm = core::transform(edited.pim, *edited.info, edited.schemes.at(0));
-  const core::InstrumentedPsmBatch instrumented =
-      core::instrument_psm_for_requirements(psm, edited.requirements);
-  const core::RequirementSlack& slack = report.schemes.at(0).slack.requirements.at(0);
-  ASSERT_FALSE(slack.critical.empty());
-  for (std::size_t k = 0; k < slack.critical.size(); ++k) {
-    const mc::Trace& trace = slack.critical[k].trace;
-    const sim::ReplayResult replay = sim::replay_trace(instrumented.net, trace, slack.witness_consts);
-    EXPECT_TRUE(replay.ok) << "critical trace " << k << ": " << replay.error;
-    EXPECT_EQ(trace.to_string().find("Working"), std::string::npos)
-        << "critical trace " << k << " names a location of the ancestor model";
-  }
+  EXPECT_GT(psm_warm_reused(report), 0u) << "the edited PSM must warm-start from the stored one";
+  expect_critical_traces_replay(edited, report, "Working");
 }
 
 }  // namespace

@@ -335,6 +335,80 @@ TEST_P(RandomZoneTest, CanonicalFormIsIdempotent) {
   }
 }
 
+Relation expected_relation(const Dbm& a, const Dbm& b) {
+  return static_cast<Relation>((b.includes(a) ? 1u : 0u) | (a.includes(b) ? 2u : 0u));
+}
+
+TEST_P(RandomZoneTest, RelationMatchesIncludesBothWays) {
+  std::mt19937 gen(static_cast<unsigned>(GetParam() + 5000));
+  for (int round = 0; round < 50; ++round) {
+    const Dbm a = random_zone(gen);
+    const Dbm b = random_zone(gen);
+    if (a.empty() || b.empty()) continue;
+    EXPECT_EQ(relation(a, b), expected_relation(a, b));
+    EXPECT_EQ(relation(b, a), expected_relation(b, a));
+    EXPECT_EQ(relation(a, a), Relation::kEqual);
+    EXPECT_EQ(relation(a, Dbm(a)), Relation::kEqual);
+    // A sub-zone (equal when a already bounds x1 this tightly).
+    Dbm sub = a;
+    sub.constrain(1, 0, bound_le(kMaxConst / 2));
+    if (!sub.empty()) {
+      EXPECT_EQ(relation(sub, a), expected_relation(sub, a));
+      EXPECT_TRUE(has(relation(sub, a), Relation::kSubset));
+    }
+  }
+}
+
+// The textbook Floyd-Warshall closure, over a plain matrix: the reference
+// Dbm::canonicalize must reproduce bit for bit on every non-empty result.
+bool reference_close(std::vector<raw_t>& d, int dim) {
+  auto at = [&](int i, int j) -> raw_t& { return d[static_cast<std::size_t>(i * dim + j)]; };
+  for (int k = 0; k < dim; ++k)
+    for (int i = 0; i < dim; ++i)
+      for (int j = 0; j < dim; ++j)
+        if (add(at(i, k), at(k, j)) < at(i, j)) at(i, j) = add(at(i, k), at(k, j));
+  for (int i = 0; i < dim; ++i)
+    if (at(i, i) < kLeZero) return false;
+  return true;
+}
+
+TEST_P(RandomZoneTest, CanonicalizeMatchesTextbookClosure) {
+  std::mt19937 gen(static_cast<unsigned>(GetParam() + 6000));
+  std::uniform_int_distribution<int> clocks_dist(1, 6);
+  std::uniform_int_distribution<int> const_dist(-kMaxConst, 2 * kMaxConst);
+  std::uniform_int_distribution<int> kind_dist(0, 9);  // 0-2: kInf, 3-6: weak, 7-9: strict
+  int nonempty = 0;
+  int empty = 0;
+  for (int round = 0; round < 100; ++round) {
+    const int clocks = clocks_dist(gen);
+    Dbm d(clocks);
+    std::vector<raw_t> ref(static_cast<std::size_t>(d.dim() * d.dim()), kLeZero);
+    for (int i = 0; i < d.dim(); ++i) {
+      for (int j = 0; j < d.dim(); ++j) {
+        if (i == j) continue;
+        const int kind = kind_dist(gen);
+        const raw_t b = kind < 3 ? kInf : make_bound(const_dist(gen), kind < 7);
+        d.set(i, j, b);
+        ref[static_cast<std::size_t>(i * d.dim() + j)] = b;
+      }
+    }
+    d.canonicalize();
+    const bool ref_nonempty = reference_close(ref, d.dim());
+    ASSERT_EQ(!d.empty(), ref_nonempty) << "round " << round;
+    if (!ref_nonempty) {
+      ++empty;
+      continue;
+    }
+    ++nonempty;
+    for (int i = 0; i < d.dim(); ++i)
+      for (int j = 0; j < d.dim(); ++j)
+        EXPECT_EQ(d.at(i, j), ref[static_cast<std::size_t>(i * d.dim() + j)])
+            << "round " << round << " entry (" << i << "," << j << ")";
+  }
+  EXPECT_GT(nonempty, 0) << "draw no non-empty matrices";
+  EXPECT_GT(empty, 0) << "draw no empty matrices";
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomZoneTest, ::testing::Range(0, 20));
 
 }  // namespace

@@ -317,17 +317,31 @@ TEST(Fingerprint, SensitiveToProbeInstrumentation) {
 TEST(Fingerprint, ArtifactKeyCoversResultAffectingOptionsOnly) {
   const BuiltNet base = build({});
   const NetworkFingerprint fp = fingerprint(base.net);
+  const Digest128 names = names_digest(base.net);
   mc::ExploreOptions opts;
-  const mc::ArtifactKey k0 = mc::artifact_key(fp, opts);
+  const mc::ArtifactKey k0 = mc::artifact_key(fp, names, opts);
 
   mc::ExploreOptions more_states = opts;
   more_states.max_states = opts.max_states * 2;
-  EXPECT_NE(k0.digest, mc::artifact_key(fp, more_states).digest);
+  EXPECT_NE(k0.digest, mc::artifact_key(fp, names, more_states).digest);
 
   // Exploration is deterministic across thread counts; jobs must not key.
   mc::ExploreOptions threaded = opts;
   threaded.jobs = 8;
-  EXPECT_EQ(k0.digest, mc::artifact_key(fp, threaded).digest);
+  EXPECT_EQ(k0.digest, mc::artifact_key(fp, names, threaded).digest);
+}
+
+// The fingerprint ignores names; the names digest, which the artifact key
+// also carries, sees every rename and declaration reorder.
+TEST(Fingerprint, NamesDigestSeesRenamesAndReorders) {
+  const Digest128 base = names_digest(build({}).net);
+  EXPECT_EQ(base, names_digest(build({}).net));
+  NetKnobs renamed;
+  renamed.rename = true;
+  EXPECT_NE(base, names_digest(build(renamed).net));
+  NetKnobs reordered;
+  reordered.reorder_decls = true;
+  EXPECT_NE(base, names_digest(build(reordered).net));
 }
 
 }  // namespace

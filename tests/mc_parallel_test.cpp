@@ -110,6 +110,7 @@ TEST(ParallelDeterminism, PumpPsmFullExplorationIdenticalAcrossJobs) {
   EXPECT_EQ(stats[0].states_stored, 11765u);
   EXPECT_EQ(stats[0].states_explored, 10184u);
   EXPECT_EQ(stats[0].transitions_fired, 14339u);
+  EXPECT_EQ(stats[0].subsumed, 2575u);
   EXPECT_LT(stats[0].states_explored, stats[0].states_stored)
       << "covered zones are stored but never expanded";
 }
