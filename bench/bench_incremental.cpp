@@ -6,7 +6,7 @@
 // Verifies the pump model (pump.psv + board.pss, the paper's Table-I
 // requirements), then perturbs ONE scheme constant upward (the StopInfusion
 // device delay, 50 -> 55 ms) and re-verifies through the SAME Verifier: the
-// perturbed PSM has a new fingerprint (cold cache key) but an unchanged
+// perturbed PSM has a new network digest (cold cache key) but an unchanged
 // skeleton, so the session adopts the baseline's passed store and seeds its
 // first wave from it instead of re-deriving the state space. A fresh
 // Verifier re-verifies the perturbed scheme cold for reference.
@@ -110,8 +110,8 @@ int main(int argc, char** argv) {
 
   // The one-constant perturbation: raise the StopInfusion device delay
   // ceiling 50 -> 55 ms. Only a clock-constraint bound changes, so the PSM
-  // fingerprint (cache key) changes but the skeleton does not — exactly the
-  // "structurally-related successor" the warm start targets. Upward so the
+  // network digest (cache key) changes but the skeleton does not — exactly
+  // the "structurally-related successor" the warm start targets. Upward so the
   // extrapolation constants are non-decreasing (downward edits revalidate
   // instead of reusing; see docs/PIPELINE.md).
   const std::string original_constant = "delay 10 50";

@@ -90,8 +90,8 @@ RequirementProbe instrument_mc_delay(ta::Network& net, const std::string& enviro
 /// relevant send edges on its own pending flag, so additional probes never
 /// change the behavior another probe measures — bounds are identical to
 /// instrumenting each requirement into its own copy. Probe names are
-/// uniquified when requirements share an input base name (names never enter
-/// the canonical fingerprint, so naming is purely cosmetic).
+/// uniquified when requirements share an input base name; the names are
+/// deterministic, so the same batch always yields the same network digest.
 std::vector<RequirementProbe> instrument_mc_delays(ta::Network& net,
                                                    const std::string& environment_name,
                                                    const std::vector<TimingRequirement>& reqs);
@@ -107,7 +107,7 @@ struct PimVerification {
   mc::StageCacheStats cache;    ///< persistent-cache accounting (when used)
 };
 /// `cache`, when given, keys a persistent artifact on the instrumented PIM's
-/// canonical fingerprint: a repeat run on an unchanged PIM answers without
+/// exact network digest: a repeat run on an unchanged PIM answers without
 /// exploration, and a scheme edit (which only affects the PSM) never
 /// invalidates this stage.
 PimVerification verify_pim_requirement(const ta::Network& pim, const PimInfo& info,

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "mc/artifact.h"
-#include "ta/print.h"
 #include "util/error.h"
 #include "util/hash.h"
 #include "util/table.h"
@@ -196,19 +195,14 @@ std::string VerifyReport::requirement_summary(std::size_t scheme_index,
 
 std::shared_ptr<Verifier::Slot> Verifier::acquire(ta::Network&& net,
                                                   const mc::ExploreOptions& explore) {
-  // Construct outside the pool lock: fingerprinting and the network copy
+  // Construct outside the pool lock: digesting and the network copy
   // dominate the cost, and a losing racer merely discards its session.
+  // The artifact key alone keys the pool: it digests the exact network, raw
+  // declaration and edge order included, so callers that query pooled
+  // sessions with raw clock/variable ids never share a slot with a
+  // differently declared network.
   mc::VerificationSession session(std::move(net), explore);
-  // The pool key extends the (edge/conjunct-reorder-invariant) artifact key
-  // with a digest of the RAW network rendering. Callers query pooled
-  // sessions with raw clock/variable ids, so two semantically equal but
-  // differently declared networks must NOT share a slot — only the
-  // persistent artifact store may be shared across representations (its
-  // load path remaps through the canonical id ranks; see
-  // VerificationSession::load()).
-  Hasher128 raw_hash;
-  raw_hash.str(ta::network_text(session.net()));
-  const std::string key = session.cache_key().hex() + "-" + raw_hash.digest().hex();
+  const std::string key = session.cache_key().hex();
 
   if (config_.max_sessions == 0) {
     auto slot = std::make_shared<Slot>();
@@ -337,7 +331,7 @@ VerifyReport Verifier::verify(const VerifyRequest& request) {
   // [1] PIM |= P(delta) for the WHOLE requirement set, from one session
   // over one fully probe-instrumented PIM. Scheme-independent, so every
   // candidate scheme below reuses these verdicts. Keyed on the
-  // instrumented-PIM fingerprint: scheme edits never invalidate this stage.
+  // instrumented-PIM digest: scheme edits never invalidate this stage.
   auto start = SteadyClock::now();
   ta::Network pim_net = request.pim;
   const std::string env_name = request.pim.automaton(info.environment).name();

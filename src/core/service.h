@@ -19,8 +19,8 @@
 //   * candidate schemes compete: the report carries per-scheme verdicts
 //     plus a comparison summary.
 //
-// Sessions are pooled inside the Verifier (keyed on the canonical network
-// fingerprint + result-affecting options, LRU-capped), so repeated or
+// Sessions are pooled inside the Verifier (keyed on the exact network digest
+// + result-affecting options, LRU-capped), so repeated or
 // overlapping requests are answered from warm sessions; with a cache
 // directory (Verifier::Config::cache_dir — a property of the service, never
 // of a request) the pool is additionally backed by the persistent artifact
@@ -150,8 +150,8 @@ class Verifier {
  public:
   struct Config {
     /// Persistent verification-artifact cache directory; empty = disabled.
-    /// Stages key their artifacts on the canonical fingerprint of the
-    /// network they explore (instrumented PIM for stage 1, instrumented PSM
+    /// Stages key their artifacts on the exact digest of the network they
+    /// explore (instrumented PIM for stage 1, instrumented PSM
     /// for 3–5), so a scheme edit only invalidates the downstream stages.
     std::string cache_dir;
     /// LRU cap on pooled warm sessions (each owns a network copy and its

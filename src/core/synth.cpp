@@ -113,32 +113,35 @@ bool dominates(const std::vector<SweepAxis>& axes, const std::vector<std::int32_
   return strict;
 }
 
-void add_stats(mc::ExploreStats& into, const mc::ExploreStats& from) {
-  into.states_stored += from.states_stored;
-  into.states_explored += from.states_explored;
-  into.transitions_fired += from.transitions_fired;
-  into.subsumed += from.subsumed;
-  into.warm_states_reused += from.warm_states_reused;
-  into.warm_states_revalidated += from.warm_states_revalidated;
-  into.warm_seed_expansions += from.warm_seed_expansions;
-}
-
 bool explored(const CandidateOutcome& c) {
   return c.status == CandidateOutcome::Status::kExploredCold ||
          c.status == CandidateOutcome::Status::kExploredWarm;
 }
 
+/// An explored candidate that respects the constraints yet misses some
+/// requirement bound: every candidate it dominates misses that bound too.
+bool is_fence(const CandidateOutcome& c, const std::vector<TimingRequirement>& reqs) {
+  if (!explored(c) || !c.constraints_ok) return false;
+  for (std::size_t r = 0; r < reqs.size(); ++r)
+    if (c.bounded[r] == 0 || c.delays[r] > reqs[r].bound_ms) return true;
+  return false;
+}
+
 /// Shared mutable search state of one run.
 struct SearchState {
   std::mutex mu;
-  /// Parameter vectors of explored, constraint-respecting candidates that
-  /// missed at least one requirement bound.
-  std::vector<std::vector<std::int32_t>> dominators;
+  /// Fences (see is_fence()) with their visit-order positions.
+  struct Dominator {
+    std::vector<std::int32_t> values;
+    std::size_t pos;
+  };
+  std::vector<Dominator> dominators;
   /// Candidates currently inside Verifier::verify, by lattice index; a
-  /// completing dominator fires the tokens of the in-flight candidates it
-  /// dominates.
+  /// completing dominator fires the tokens of the in-flight candidates
+  /// later in visit order that it dominates.
   struct Inflight {
     std::vector<std::int32_t> values;
+    std::size_t pos;
     std::shared_ptr<std::atomic<bool>> token;
   };
   std::unordered_map<std::size_t, Inflight> inflight;
@@ -199,8 +202,11 @@ SynthReport SchemeSynthesizer::run(const SynthRequest& request) {
   SearchState state;
   const std::size_t req_count = request.requirements.size();
 
-  // Evaluate one lattice point end to end; thread-safe for distinct indices.
-  auto evaluate = [&](std::size_t index) {
+  // Evaluate the lattice point at visit position `pos` end to end;
+  // thread-safe for distinct positions. Only a dominator EARLIER in visit
+  // order may prune or cancel it, as in a one-worker run.
+  auto evaluate = [&](std::size_t pos) {
+    const std::size_t index = order[pos];
     CandidateOutcome out;
     out.index = index;
     out.values = request.tmpl.values_at(index);
@@ -228,15 +234,15 @@ SynthReport SchemeSynthesizer::run(const SynthRequest& request) {
       // candidate's token.
       std::lock_guard<std::mutex> lock(state.mu);
       if (request.synth.prune) {
-        for (const std::vector<std::int32_t>& d : state.dominators) {
-          if (dominates(report.axes, d, out.values)) {
+        for (const SearchState::Dominator& d : state.dominators) {
+          if (d.pos < pos && dominates(report.axes, d.values, out.values)) {
             out.status = CandidateOutcome::Status::kPrunedDominated;
             report.candidates[index] = std::move(out);
             return;
           }
         }
       }
-      state.inflight[index] = {out.values, token};
+      state.inflight[index] = {out.values, pos, token};
     }
 
     VerifyRequest vr;
@@ -271,19 +277,15 @@ SynthReport SchemeSynthesizer::run(const SynthRequest& request) {
     out.delays.resize(req_count);
     out.bounded.resize(req_count);
     out.slack.resize(req_count);
-    bool misses_bound = false;
     for (std::size_t r = 0; r < req_count; ++r) {
       const RequirementResult& rr = sv.requirements[r];
       out.delays[r] = rr.bounds.verified_mc_delay;
       out.bounded[r] = rr.bounds.verified_mc_bounded ? 1 : 0;
       out.slack[r] = request.requirements[r].bound_ms - out.delays[r];
       if (!rr.psm_meets_original) out.satisfies = false;
-      if (!rr.bounds.verified_mc_bounded ||
-          out.delays[r] > request.requirements[r].bound_ms) {
-        misses_bound = true;
-      }
     }
-    for (const VerifyStageStats& stage : sv.stages) add_stats(out.explore, stage.explore);
+    for (const VerifyStageStats& stage : sv.stages)
+      mc::accumulate_stats(out.explore, stage.explore);
     const bool warm = out.explore.warm_seed_expansions + out.explore.warm_states_reused +
                           out.explore.warm_states_revalidated >
                       0;
@@ -300,10 +302,10 @@ SynthReport SchemeSynthesizer::run(const SynthRequest& request) {
           state.internals[r] = pim.bounded ? pim.max_delay : request.requirements[r].bound_ms;
         }
       }
-      if (request.synth.prune && out.constraints_ok && misses_bound) {
-        state.dominators.push_back(out.values);
+      if (request.synth.prune && is_fence(out, request.requirements)) {
+        state.dominators.push_back({out.values, pos});
         for (auto& [idx, fly] : state.inflight) {
-          if (dominates(report.axes, out.values, fly.values))
+          if (fly.pos > pos && dominates(report.axes, out.values, fly.values))
             fly.token->store(true, std::memory_order_relaxed);
         }
       }
@@ -319,7 +321,7 @@ SynthReport SchemeSynthesizer::run(const SynthRequest& request) {
   PinGuard pin;
   for (; cursor < order.size(); ++cursor) {
     const std::size_t index = order[cursor];
-    evaluate(index);
+    evaluate(cursor);
     if (!explored(report.candidates[index])) continue;
     const PsmArtifacts psm = transform(request.pim, info,
                                        request.tmpl.instantiate(report.candidates[index].values),
@@ -354,7 +356,7 @@ SynthReport SchemeSynthesizer::run(const SynthRequest& request) {
         const std::size_t pos = state.next.fetch_add(1);
         if (pos >= order.size()) return;
         try {
-          evaluate(order[pos]);
+          evaluate(pos);
         } catch (...) {
           std::lock_guard<std::mutex> lock(err_mu);
           if (!first_error) first_error = std::current_exception();
@@ -366,6 +368,34 @@ SynthReport SchemeSynthesizer::run(const SynthRequest& request) {
     for (unsigned w = 0; w < workers; ++w) threads.emplace_back(worker);
     for (std::thread& t : threads) t.join();
     if (first_error) std::rethrow_exception(first_error);
+  }
+
+  // Settle the work split in visit order, the way a one-worker run sees
+  // it: a candidate explored only because its earlier dominator was still
+  // in flight is a speculative exploration, reclassified as dominance-
+  // pruned with its outcome and statistics dropped. Dominance is
+  // transitive, so every candidate pruned or cancelled above is dominated
+  // by some fence that stays explored here.
+  if (request.synth.prune) {
+    std::vector<const CandidateOutcome*> fences;
+    for (const std::size_t index : order) {
+      CandidateOutcome& c = report.candidates[index];
+      if (!explored(c)) continue;
+      const bool dominated =
+          std::any_of(fences.begin(), fences.end(), [&](const CandidateOutcome* f) {
+            return dominates(report.axes, f->values, c.values);
+          });
+      if (dominated) {
+        CandidateOutcome pruned;
+        pruned.index = c.index;
+        pruned.values = std::move(c.values);
+        pruned.name = std::move(c.name);
+        pruned.status = CandidateOutcome::Status::kPrunedDominated;
+        c = std::move(pruned);
+      } else if (is_fence(c, request.requirements)) {
+        fences.push_back(&c);
+      }
+    }
   }
 
   // Fill the analytic pre-bounds (cheap closed forms) now that the PIM

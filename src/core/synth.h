@@ -25,9 +25,10 @@
 //   2. Pruning. Candidates failing the analytic schedulability pre-check
 //      (core/schedulability.h) are cut without exploration
 //      (pruned_analytic). Candidates dominated in parameter space by an
-//      already-explored candidate that missed a requirement bound are cut
-//      before — or cancelled mid-exploration via the cooperative token in
-//      mc::ExploreOptions — as guaranteed failures (pruned_dominated):
+//      explored candidate EARLIER in visit order that missed a requirement
+//      bound are cut before — or cancelled mid-exploration via the
+//      cooperative token in mc::ExploreOptions — as guaranteed failures
+//      (pruned_dominated):
 //      worst-case delays are monotone non-decreasing in every
 //      SweepAxis::monotone_worse_up() axis (pure delay-interval ceilings;
 //      period and polling interval are deliberately NOT such axes — see
@@ -42,8 +43,15 @@
 // candidates, and a pruned candidate's dominator chain always ends at an
 // explored candidate with pointwise <= delays, so the Pareto set, the
 // feasibility minima and their lex-smallest witnesses are identical for
-// every worker count and every visit order. Statistics (how much was
-// pruned vs explored) legitimately vary with timing; frontiers do not.
+// every worker count and every visit order.
+//
+// Statistics determinism: with several workers a candidate may be explored
+// while its earlier dominator is still in flight. After the fan-out one
+// pass in visit order reclassifies every candidate that an earlier explored,
+// constraint-respecting, bound-missing candidate dominates as
+// pruned_dominated and drops its outcome and statistics (the
+// rule mc/query.cpp applies to speculative widening rounds), so the whole
+// SynthStats, like every candidate status, equals a one-worker run's.
 #pragma once
 
 #include <cstdint>

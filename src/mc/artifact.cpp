@@ -7,6 +7,7 @@
 #include <iostream>
 #include <random>
 
+#include "ta/fingerprint.h"
 #include "util/error.h"
 
 namespace psv::mc {
@@ -122,13 +123,11 @@ MaxClockResult read_max_clock_result(ByteReader& in) {
 
 }  // namespace
 
-ArtifactKey artifact_key(const ta::NetworkFingerprint& fp, const Digest128& names,
-                         const ExploreOptions& opts) {
+ArtifactKey artifact_key(const Digest128& network, const ExploreOptions& opts) {
   Hasher128 h;
   h.str("psv-artifact-key");
   h.u32(kArtifactFormatVersion);
-  h.u64(fp.digest.hi).u64(fp.digest.lo);
-  h.u64(names.hi).u64(names.lo);
+  h.u64(network.hi).u64(network.lo);
   // Only the knob that can change results: the state cap can turn a run
   // into an error. jobs is excluded — exploration is deterministic across
   // thread counts by construction.
@@ -138,8 +137,8 @@ ArtifactKey artifact_key(const ta::NetworkFingerprint& fp, const Digest128& name
 
 namespace {
 
-/// Canonical state-formula encoding shared by every query digest.
-void encode_state_formula(ByteWriter& enc, const ta::CanonicalIds& ids, const StateFormula& f) {
+/// State-formula encoding shared by every query digest.
+void encode_state_formula(ByteWriter& enc, const StateFormula& f) {
   // Location requirements are a conjunction: sort their encodings.
   std::vector<std::vector<std::uint8_t>> locs;
   locs.reserve(f.locs.size());
@@ -154,13 +153,13 @@ void encode_state_formula(ByteWriter& enc, const ta::CanonicalIds& ids, const St
   enc.u64(locs.size());
   for (const auto& l : locs) enc.raw(l.data(), l.size());
 
-  ta::encode_bool_expr(enc, f.data, &ids);
+  ta::encode_bool_expr(enc, f.data);
 
   std::vector<std::vector<std::uint8_t>> ccs;
   ccs.reserve(f.clocks.size());
   for (const ta::ClockConstraint& cc : f.clocks) {
     ByteWriter w;
-    ta::encode_clock_constraint(w, cc, &ids);
+    ta::encode_clock_constraint(w, cc);
     ccs.push_back(w.take());
   }
   std::sort(ccs.begin(), ccs.end());
@@ -170,11 +169,11 @@ void encode_state_formula(ByteWriter& enc, const ta::CanonicalIds& ids, const St
 
 }  // namespace
 
-Digest128 bound_query_digest(const ta::CanonicalIds& ids, const BoundQuery& query) {
+Digest128 bound_query_digest(const BoundQuery& query) {
   ByteWriter enc;
   enc.str("psv-bound-query");
-  encode_state_formula(enc, ids, query.pred);
-  enc.i32(ids.clock(query.clock));
+  encode_state_formula(enc, query.pred);
+  enc.i32(query.clock);
   enc.i64(query.limit);
   // The clamped retention depth is part of the result payload's identity;
   // query.hint deliberately not encoded (see header).
@@ -182,10 +181,10 @@ Digest128 bound_query_digest(const ta::CanonicalIds& ids, const BoundQuery& quer
   return digest128(enc.buffer().data(), enc.size());
 }
 
-Digest128 state_formula_digest(const ta::CanonicalIds& ids, const StateFormula& formula) {
+Digest128 state_formula_digest(const StateFormula& formula) {
   ByteWriter enc;
   enc.str("psv-state-formula");
-  encode_state_formula(enc, ids, formula);
+  encode_state_formula(enc, formula);
   return digest128(enc.buffer().data(), enc.size());
 }
 

@@ -1,15 +1,16 @@
 // Persistent, content-addressed verification artifacts.
 //
 // A VerificationArtifact is the externalized memo of a VerificationSession:
-// every answered bound query (keyed by a canonical query digest) plus the
+// every answered bound query (keyed by a query digest over raw ids) plus the
 // shared C1–C4 flag/deadlock sweep. An ArtifactStore keeps artifacts in a
 // cache directory, one file per key, where the key is composed of
 //
-//   { canonical network fingerprint (ta::fingerprint — probe instrumentation
-//     is part of the network, so the probe set is part of the key),
-//     the network's names (ta::names_digest — stored traces are rendered
-//     text, so a rename must miss; it still warm-starts from the original's
-//     passed store, which is matched by skeleton),
+//   { the exact network digest (ta::network_digest — names, notes and the
+//     raw declaration and edge order included, because stored traces are
+//     rendered text and the stored passed store is indexed by raw edge
+//     order; probe instrumentation is part of the network, so the probe set
+//     is part of the key; an edited, renamed or reordered network misses
+//     and may still warm-start from a skeleton-equal ancestor's store),
 //     the ExploreOptions knob that can affect results (max_states; jobs is
 //     excluded — exploration is deterministic across thread counts),
 //     the artifact format version }.
@@ -36,12 +37,11 @@
 
 #include "mc/query.h"
 #include "mc/store.h"
-#include "ta/fingerprint.h"
 #include "util/hash.h"
 
 namespace psv::mc {
 
-/// Bumped whenever the artifact payload layout, the canonical fingerprint
+/// Bumped whenever the artifact payload layout, the network or query digest
 /// encoding, or the semantics of a stored field change; files with any
 /// other version are ignored. Version 4: artifacts carry the network's
 /// skeleton digest, memoized reachability and bounded-response results
@@ -58,7 +58,11 @@ namespace psv::mc {
 /// wave; a timelock commits none of its wave's successors).
 /// Version 7: the key carries ta::names_digest, so a rename-only edit is a
 /// miss instead of serving traces that name the old locations.
-inline constexpr std::uint32_t kArtifactFormatVersion = 7;
+/// Version 8: the key is the exact ta::network_digest (the canonical
+/// fingerprint and the names digest are gone), so an edge, conjunct, reset
+/// or declaration reorder misses instead of serving a passed store indexed
+/// by the old edge order; query digests and the flag sweep use raw ids.
+inline constexpr std::uint32_t kArtifactFormatVersion = 8;
 
 /// Content-addressed cache key; hex() names the artifact file.
 struct ArtifactKey {
@@ -70,10 +74,9 @@ struct ArtifactKey {
   }
 };
 
-/// Compose the cache key for a fingerprinted network, with the
-/// ta::names_digest of the same network, under `opts`.
-ArtifactKey artifact_key(const ta::NetworkFingerprint& fp, const Digest128& names,
-                         const ExploreOptions& opts);
+/// Compose the cache key for a network with ta::network_digest `network`
+/// under `opts`.
+ArtifactKey artifact_key(const Digest128& network, const ExploreOptions& opts);
 
 // Shared serde helpers for engine result payloads. Used by the artifact
 // format below and by the report serialization of the wire protocol
@@ -86,19 +89,17 @@ void write_trace(ByteWriter& out, const Trace& trace);
 /// bounds.
 Trace read_trace(ByteReader& in);
 
-/// Canonical digest of one bound query. Uses the network's canonical id
-/// ranks, so the digest survives declaration reorders and renames that keep
-/// the fingerprint unchanged; location/automaton indices are raw because
-/// the artifact key's fingerprint already pins their order. The hint is
+/// Digest of one bound query, over raw ids: the artifact key's network
+/// digest already pins every declaration and its order. The hint is
 /// deliberately excluded: it cannot change a bound (only how much work
 /// finding it costs), matching the in-session memoization semantics.
 /// top_k IS encoded: it changes the ranked-trace payload a result carries,
 /// so queries with different retention depths must not share a memo entry.
-Digest128 bound_query_digest(const ta::CanonicalIds& ids, const BoundQuery& query);
+Digest128 bound_query_digest(const BoundQuery& query);
 
-/// Canonical digest of a bare state formula, with the same id treatment as
-/// bound_query_digest. Keys the memoized query_reachable() results.
-Digest128 state_formula_digest(const ta::CanonicalIds& ids, const StateFormula& formula);
+/// Digest of a bare state formula, over raw ids like bound_query_digest.
+/// Keys the memoized query_reachable() results.
+Digest128 state_formula_digest(const StateFormula& formula);
 
 /// The serializable memo of a verification session.
 struct VerificationArtifact {
@@ -111,7 +112,7 @@ struct VerificationArtifact {
 
   /// The shared full-space C1–C4 flag + deadlock sweep, when it ran.
   bool has_flag_sweep = false;
-  std::vector<std::uint8_t> var_seen_one;  ///< canonical var order, 0/1
+  std::vector<std::uint8_t> var_seen_one;  ///< per raw VarId, 0/1
   DeadlockResult deadlock;
 
   // --- Format v4 ------------------------------------------------------------
@@ -125,7 +126,7 @@ struct VerificationArtifact {
   };
   std::vector<ReachEntry> reaches;
 
-  /// ta::skeleton_digest of the fingerprinted network: the key under which
+  /// ta::skeleton_digest of the session network: the key under which
   /// this artifact's passed store is indexed as a warm-start ancestor for
   /// structurally-related verifications.
   Digest128 skeleton;

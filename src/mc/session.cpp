@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "ta/fingerprint.h"
 #include "util/error.h"
 
 namespace psv::mc {
@@ -10,19 +11,11 @@ namespace psv::mc {
 VerificationSession::VerificationSession(ta::Network net, ExploreOptions opts)
     : net_(std::move(net)),
       opts_(opts),
-      fingerprint_(ta::fingerprint(net_)),
-      cache_key_(artifact_key(fingerprint_, ta::names_digest(net_), opts_)),
+      cache_key_(artifact_key(ta::network_digest(net_), opts_)),
       skeleton_(ta::skeleton_digest(net_)) {}
 
 void VerificationSession::adopt_ancestor(std::shared_ptr<const PassedStoreExport> ancestor) {
   ancestor_ = std::move(ancestor);
-}
-
-Digest128 VerificationSession::bound_key(const BoundQuery& query) const {
-  // Canonical digest over the formula structure and ranks: every location,
-  // data and clock conjunct enters the key. hint is part of the key only
-  // through the answer's stats, which cached hits reuse as-is.
-  return bound_query_digest(fingerprint_.ids, query);
 }
 
 std::vector<MaxClockResult> VerificationSession::max_clock_values(
@@ -37,7 +30,7 @@ std::vector<MaxClockResult> VerificationSession::answer_bounds(
   std::vector<std::size_t> fresh_index;
   std::vector<Digest128> keys(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    keys[i] = bound_key(queries[i]);
+    keys[i] = bound_query_digest(queries[i]);
     ++stats_.queries;
     const auto hit = bound_cache_.find(keys[i]);
     if (hit != bound_cache_.end()) {
@@ -156,7 +149,7 @@ VerificationSession::FlagReport VerificationSession::check_flags(
 }
 
 ReachResult VerificationSession::query_reachable(const StateFormula& goal) {
-  const Digest128 key = state_formula_digest(fingerprint_.ids, goal);
+  const Digest128 key = state_formula_digest(goal);
   ++stats_.queries;
   if (const auto hit = reach_cache_.find(key); hit != reach_cache_.end()) {
     ++stats_.cache_hits;
@@ -193,11 +186,7 @@ bool VerificationSession::load(const ArtifactStore& store) {
   if (exported_ == nullptr && artifact->store.has_value())
     exported_ = std::make_shared<const PassedStoreExport>(std::move(*artifact->store));
   if (artifact->has_flag_sweep && !flag_sweep_done_) {
-    // var_seen_one is stored in canonical rank order; map back to VarIds.
-    var_seen_one_.assign(static_cast<std::size_t>(net_.num_vars()), false);
-    for (ta::VarId v = 0; v < net_.num_vars(); ++v)
-      var_seen_one_[static_cast<std::size_t>(v)] =
-          artifact->var_seen_one[static_cast<std::size_t>(fingerprint_.ids.var(v))] != 0;
+    var_seen_one_.assign(artifact->var_seen_one.begin(), artifact->var_seen_one.end());
     deadlock_ = std::move(artifact->deadlock);
     flag_sweep_done_ = true;
     ++stats_.entries_loaded;
@@ -218,10 +207,7 @@ bool VerificationSession::store(const ArtifactStore& store) const {
                const VerificationArtifact::BoundEntry& b) { return a.query < b.query; });
   artifact.has_flag_sweep = flag_sweep_done_;
   if (flag_sweep_done_) {
-    artifact.var_seen_one.assign(static_cast<std::size_t>(net_.num_vars()), 0);
-    for (ta::VarId v = 0; v < net_.num_vars(); ++v)
-      artifact.var_seen_one[static_cast<std::size_t>(fingerprint_.ids.var(v))] =
-          var_seen_one_[static_cast<std::size_t>(v)] ? 1 : 0;
+    artifact.var_seen_one.assign(var_seen_one_.begin(), var_seen_one_.end());
     artifact.deadlock = deadlock_;
   }
   artifact.reaches.reserve(reach_cache_.size());

@@ -15,8 +15,8 @@
 //   * repeated queries are memoized — asking the same bound twice costs no
 //     second exploration (SessionStats::cache_hits counts these).
 //
-// The memo is content-addressed: queries key on canonical digests
-// (mc/artifact.h) over the network's semantic fingerprint, and the whole
+// The memo is content-addressed: queries key on raw-id digests
+// (mc/artifact.h), the session on the exact network digest, and the whole
 // memo can round-trip through a persistent ArtifactStore — load() before
 // querying turns a repeat run on an unchanged model into pure cache hits
 // (zero states explored), store() persists fresh work for the next run.
@@ -33,7 +33,6 @@
 
 #include "mc/artifact.h"
 #include "mc/query.h"
-#include "ta/fingerprint.h"
 
 namespace psv::mc {
 
@@ -158,12 +157,12 @@ class VerificationSession {
   /// True when load() populated this session from a persistent artifact.
   bool warm_loaded() const { return warm_loaded_; }
 
-  /// Content-addressed key of this session: {network fingerprint, network
-  /// names, result-affecting options, artifact format version}.
+  /// Content-addressed key of this session: {exact network digest
+  /// (ta::network_digest), result-affecting options, artifact format
+  /// version}. Equal keys mean the same network (up to its own name), raw
+  /// ids included, so the key alone may share a session or an artifact
+  /// between callers.
   const ArtifactKey& cache_key() const { return cache_key_; }
-
-  /// The canonical fingerprint of the session network.
-  const ta::NetworkFingerprint& fingerprint() const { return fingerprint_; }
 
   const SessionStats& stats() const { return stats_; }
 
@@ -177,11 +176,8 @@ class VerificationSession {
   std::vector<MaxClockResult> answer_bounds(const std::vector<BoundQuery>& queries,
                                             FlagSweepOutcome* flags);
 
-  Digest128 bound_key(const BoundQuery& query) const;
-
   ta::Network net_;  ///< owned copy; the session outlives caller temporaries
   ExploreOptions opts_;
-  ta::NetworkFingerprint fingerprint_;  ///< canonical digest + id ranks
   ArtifactKey cache_key_;
   Digest128 skeleton_;  ///< structural warm-start key (ta::skeleton_digest)
   SessionStats stats_;

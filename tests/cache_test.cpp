@@ -465,9 +465,9 @@ TEST(SessionPersistence, RenameAndDeclReorderMissWithEqualBounds) {
   ASSERT_TRUE(cold.store(store));
 
   // The "edited" model: same semantics, new names. (tiny_net declares t
-  // before x; here the declarations are reordered too.) The fingerprint
-  // stays equal, but stored traces name the old declarations, so the
-  // artifact key (which carries the names digest) must miss.
+  // before x; here the declarations are reordered too.) Stored traces name
+  // the old declarations, so the artifact key (the exact network digest)
+  // must miss.
   Network edited("tiny-rewritten");
   const ClockId x2 = edited.add_clock("worker_clock");
   const ClockId t2 = edited.add_clock("probe_clock");
@@ -506,7 +506,6 @@ TEST(SessionPersistence, RenameAndDeclReorderMissWithEqualBounds) {
   edited.add_automaton(std::move(m));
 
   mc::VerificationSession warm(edited, {});
-  EXPECT_EQ(warm.fingerprint().digest, cold.fingerprint().digest);
   EXPECT_FALSE(warm.load(store)) << "a rename/reorder edit must not serve the old names";
   mc::BoundQuery q;
   q.pred = mc::at(edited, "Environment", "Waiting");
@@ -722,11 +721,11 @@ std::size_t psm_warm_reused(const core::VerifyReport& report) {
   return reused;
 }
 
-// Regression: a rename-only edit keeps the fingerprint, so under a
-// name-blind key it was a memo hit serving traces that named the old
-// locations (and `--monitor-check` could not match their labels). The key
-// carries the names digest: the renamed model misses, warm-starts from the
-// original's passed store, and renders its traces with the new names.
+// Regression: under a name-blind key a rename-only edit was a memo hit
+// serving traces that named the old locations (and `--monitor-check` could
+// not match their labels). The exact network digest sees names: the
+// renamed model misses, warm-starts from the original's passed store, and
+// renders its traces with the new names.
 TEST(WarmColdDifferential, RenameOnlyEditMissesAndRendersNewNames) {
   const std::string model = read_model("quickstart.psv");
   const std::string scheme = read_model("fast.pss");
@@ -768,6 +767,64 @@ TEST(WarmColdDifferential, RenamedAndEditedWarmStartTracesReplay) {
 
   EXPECT_GT(psm_warm_reused(report), 0u) << "the edited PSM must warm-start from the stored one";
   expect_critical_traces_replay(edited, report, "Working");
+}
+
+// Regression: the reorder chain, on one Verifier with a cache dir. Under a
+// reorder-blind key, the quickstart model with the edges of M and of ENV
+// each listed in reverse was a memo hit on the original's artifact and
+// published the original's passed store, indexed by the ORIGINAL edge
+// order, as the ancestor of its own skeleton. A re-timed scheme on the
+// reordered model then adopted that store, replayed the wrong edges and
+// reported M-C 168 ms, FAIL, where a cold run proves 61 ms, PASS. Under the
+// exact key the reordered model misses and exports its own store.
+TEST(WarmColdDifferential, ReorderedEdgesMissAndWarmStartFromTheirOwnStore) {
+  const std::string model = read_model("quickstart.psv");
+  const std::string scheme = read_model("fast.pss");
+  const std::string m_edges =
+      "  Idle -> Working on m_Req? do x := 0\n"
+      "  Working -> Idle when x >= 30 on c_Ack!\n";
+  const std::string env_edges =
+      "  Idle -> Await when env_x >= 100 on m_Req! do env_x := 0\n"
+      "  Await -> Idle on c_Ack? do env_x := 0\n";
+  const std::string reordered = replace_all(
+      replace_all(model, m_edges,
+                  "  Working -> Idle when x >= 30 on c_Ack!\n"
+                  "  Idle -> Working on m_Req? do x := 0\n"),
+      env_edges,
+      "  Await -> Idle on c_Ack? do env_x := 0\n"
+      "  Idle -> Await when env_x >= 100 on m_Req! do env_x := 0\n");
+  ASSERT_EQ(reordered.size(), model.size());
+  ASSERT_NE(reordered, model);
+  // Raise the Ack output delay ceiling (the second "delay 1 3"), 3 -> 5.
+  std::string edited_scheme = scheme;
+  const std::size_t ack_delay = edited_scheme.find("delay 1 3", edited_scheme.find("output Ack"));
+  ASSERT_NE(ack_delay, std::string::npos);
+  edited_scheme.replace(ack_delay, 9, "delay 1 5");
+
+  TempCacheDir dir;
+  core::Verifier verifier(core::Verifier::Config{dir.str()});
+  verifier.verify(quickstart_request(model, scheme));
+  const core::VerifyReport job2 = verifier.verify(quickstart_request(reordered, scheme));
+  int job2_explorations = 0;
+  for (const core::VerifyStageStats& stage : all_stages(job2)) {
+    EXPECT_STRNE(stage.cache.state(), "warm") << stage.name;
+    job2_explorations += stage.explorations;
+  }
+  EXPECT_GT(job2_explorations, 0) << "a reordered model must miss the original's artifact";
+
+  const core::VerifyRequest edited = quickstart_request(reordered, edited_scheme);
+  const core::VerifyReport job3 = verifier.verify(edited);
+  const core::VerifyReport cold = core::Verifier().verify(edited);
+  const core::RequirementResult& warm_r = job3.schemes.at(0).requirements.at(0);
+  const core::RequirementResult& cold_r = cold.schemes.at(0).requirements.at(0);
+  EXPECT_EQ(warm_r.bounds.verified_mc_delay, 61);
+  EXPECT_EQ(warm_r.bounds.to_string(), cold_r.bounds.to_string());
+  EXPECT_EQ(warm_r.passed, cold_r.passed);
+  EXPECT_TRUE(warm_r.passed);
+  EXPECT_EQ(summary_without_cache_lines(job3.requirement_summary(0, 0)),
+            cold.requirement_summary(0, 0));
+  EXPECT_GT(psm_warm_reused(job3), 0u)
+      << "the edited model must warm-start from the reordered model's own store";
 }
 
 }  // namespace

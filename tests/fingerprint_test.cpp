@@ -1,13 +1,15 @@
-// Canonical network fingerprints: presentation-invariant, semantics-exact.
+// Network digests: the exact digest sees every edit, the skeleton only
+// structure.
 //
-// The persistent verification cache keys on ta::fingerprint(), so this suite
-// pins both directions of the contract: every presentation-level edit
-// (renames of clocks/variables/channels/locations/automata, reordered
-// declarations, reordered edges, reordered invariant or guard conjuncts)
-// keeps the digest, and every semantic edit (guard constant, edge retarget,
+// The persistent verification cache and the Verifier's session pool key on
+// ta::network_digest(), so this suite pins that every edit changes it: a
+// presentation edit (renames of clocks/variables/channels/locations/
+// automata, reordered declarations, edges, conjuncts or resets, an edge
+// note) as well as every semantic edit (guard constant, edge retarget,
 // invariant bound, variable range, channel kind, initial location, location
 // urgency, scheme parameter, probe instrumentation, result-affecting
-// ExploreOptions) changes the key.
+// ExploreOptions). ta::skeleton_digest(), which keys warm-start ancestors,
+// must ignore names, notes and clock bounds.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -29,12 +31,16 @@ using namespace psv::ta;
 /// Presentation and semantic knobs of the test network. Defaults build the
 /// base network; every knob flips exactly one aspect.
 struct NetKnobs {
-  // Presentation (must not change the fingerprint).
+  // Presentation (each but rename_network changes the exact digest; none
+  // changes the skeleton unless raw indices move).
   bool rename = false;             ///< different names for everything
   bool reorder_decls = false;      ///< clocks/vars/chans declared in other order
   bool reorder_edges = false;      ///< edges of P added in reverse
   bool reorder_conjuncts = false;  ///< invariant + guard conjunct order flipped
-  // Semantics (each must change the fingerprint).
+  bool reorder_resets = false;     ///< reset list of P's first edge flipped
+  bool edit_note = false;          ///< different note on P's first edge
+  bool rename_network = false;     ///< only the network's own name differs
+  // Semantics.
   std::int32_t guard_const = 5;
   std::int32_t inv_bound = 20;
   std::int64_t var_max = 3;
@@ -53,7 +59,7 @@ struct BuiltNet {
 
 BuiltNet build(const NetKnobs& k) {
   BuiltNet out;
-  Network net(k.rename ? "other" : "fpnet");
+  Network net(k.rename || k.rename_network ? "other" : "fpnet");
   auto name = [&k](const std::string& base) { return k.rename ? base + "_renamed" : base; };
 
   ClockId x, y;
@@ -95,7 +101,9 @@ BuiltNet build(const NetKnobs& k) {
   send.guard.data = var_eq(a, 1);
   send.sync = SyncLabel::send(ch);
   send.update.assignments = {{b, IntExpr::var(a) + IntExpr::constant(1)}};
-  send.update.resets = {{x, 0}};
+  send.update.resets = {{x, 0}, {y, 0}};
+  if (k.reorder_resets) std::swap(send.update.resets[0], send.update.resets[1]);
+  send.note = k.edit_note ? "edited note" : "note";
 
   Edge back;
   back.src = l1;
@@ -135,50 +143,44 @@ BuiltNet build(const NetKnobs& k) {
   return out;
 }
 
-Digest128 digest_of(const NetKnobs& k) { return fingerprint(build(k).net).digest; }
+Digest128 digest_of(const NetKnobs& k) { return network_digest(build(k).net); }
+Digest128 skeleton_of(const NetKnobs& k) { return skeleton_digest(build(k).net); }
 
-// --- Presentation invariance ------------------------------------------------
+// --- Presentation edits -----------------------------------------------------
 
-TEST(Fingerprint, InvariantUnderRenames) {
-  NetKnobs renamed;
-  renamed.rename = true;
-  EXPECT_EQ(digest_of({}), digest_of(renamed));
-}
+// Cached passed stores are indexed by raw edge order and cached traces are
+// rendered text, so the exact digest must see every presentation edit. The
+// skeleton keys warm starts, which revalidate every state against the new
+// network: it ignores names, notes and clock bounds, but not raw order.
+TEST(Fingerprint, ExactDigestSeesEveryEditSkeletonIgnoresNamesNotesAndBounds) {
+  const Digest128 base = digest_of({});
+  EXPECT_EQ(base, digest_of({}));
+  auto edit = [](auto&& flip) {
+    NetKnobs k;
+    flip(k);
+    return k;
+  };
+  const NetKnobs renamed = edit([](NetKnobs& k) { k.rename = true; });
+  const NetKnobs noted = edit([](NetKnobs& k) { k.edit_note = true; });
+  const NetKnobs edge_order = edit([](NetKnobs& k) { k.reorder_edges = true; });
+  EXPECT_NE(base, digest_of(renamed));
+  EXPECT_NE(base, digest_of(noted));
+  EXPECT_NE(base, digest_of(edge_order));
+  EXPECT_NE(base, digest_of(edit([](NetKnobs& k) { k.reorder_conjuncts = true; })));
+  EXPECT_NE(base, digest_of(edit([](NetKnobs& k) { k.reorder_resets = true; })));
+  EXPECT_NE(base, digest_of(edit([](NetKnobs& k) { k.reorder_decls = true; })));
+  EXPECT_NE(base, digest_of(edit([](NetKnobs& k) { k.extra_unused_clock_pair_swapped = true; })));
+  // No cached result renders the network's own name (a PSM is named after
+  // its scheme), so it alone does not key.
+  EXPECT_EQ(base, digest_of(edit([](NetKnobs& k) { k.rename_network = true; })));
 
-TEST(Fingerprint, InvariantUnderDeclarationReorder) {
-  NetKnobs reordered;
-  reordered.reorder_decls = true;
-  EXPECT_EQ(digest_of({}), digest_of(reordered));
-}
-
-TEST(Fingerprint, InvariantUnderEdgeReorder) {
-  NetKnobs reordered;
-  reordered.reorder_edges = true;
-  EXPECT_EQ(digest_of({}), digest_of(reordered));
-}
-
-TEST(Fingerprint, InvariantUnderConjunctReorder) {
-  NetKnobs reordered;
-  reordered.reorder_conjuncts = true;
-  EXPECT_EQ(digest_of({}), digest_of(reordered));
-}
-
-TEST(Fingerprint, InvariantUnderUnusedDeclReorder) {
-  NetKnobs base;
-  base.extra_unused_clock_pair_swapped = false;
-  NetKnobs swapped;
-  swapped.extra_unused_clock_pair_swapped = true;
-  EXPECT_EQ(digest_of(base), digest_of(swapped));
-}
-
-TEST(Fingerprint, InvariantUnderEveryPresentationEditAtOnce) {
-  NetKnobs all;
-  all.rename = true;
-  all.reorder_decls = true;
-  all.reorder_edges = true;
-  all.reorder_conjuncts = true;
-  all.extra_unused_clock_pair_swapped = true;
-  EXPECT_EQ(digest_of({}), digest_of(all));
+  const Digest128 skeleton = skeleton_of({});
+  EXPECT_EQ(skeleton, skeleton_of(renamed));
+  EXPECT_EQ(skeleton, skeleton_of(noted));
+  EXPECT_EQ(skeleton, skeleton_of(edit([](NetKnobs& k) { k.guard_const = 6; })));
+  EXPECT_EQ(skeleton, skeleton_of(edit([](NetKnobs& k) { k.inv_bound = 21; })));
+  EXPECT_NE(skeleton, skeleton_of(edge_order)) << "raw edge indices moved";
+  EXPECT_NE(skeleton, skeleton_of(edit([](NetKnobs& k) { k.retarget = true; })));
 }
 
 // --- Semantic sensitivity ---------------------------------------------------
@@ -245,48 +247,32 @@ TEST(Fingerprint, SensitiveToAssignmentOrder) {
                                       : std::vector<Assignment>{copy_b, zero_b};
     p.add_edge(e);
     net.add_automaton(std::move(p));
-    return fingerprint(net).digest;
+    return network_digest(net);
   };
   EXPECT_NE(make(true), make(false));
 }
 
-// --- Query digests follow the canonical id space ----------------------------
+// --- Query digests ------------------------------------------------------------
 
-TEST(Fingerprint, BoundQueryDigestSurvivesPresentationEdits) {
+TEST(Fingerprint, BoundQueryDigestKeysClockAndLimitNotHint) {
   const BuiltNet base = build({});
-  NetKnobs knobs;
-  knobs.rename = true;
-  knobs.reorder_decls = true;
-  knobs.reorder_edges = true;
-  const BuiltNet edited = build(knobs);
-  const NetworkFingerprint fp_base = fingerprint(base.net);
-  const NetworkFingerprint fp_edited = fingerprint(edited.net);
-  ASSERT_EQ(fp_base.digest, fp_edited.digest);
+  mc::BoundQuery query;
+  query.pred = mc::when(var_eq(base.a, 1));
+  query.pred.and_clock(cc_le(base.y, 40));
+  query.clock = base.x;
+  query.limit = 10'000;
+  const Digest128 digest = mc::bound_query_digest(query);
 
-  auto query_of = [](const BuiltNet& built) {
-    mc::BoundQuery q;
-    q.pred = mc::when(var_eq(built.a, 1));
-    q.pred.and_clock(cc_le(built.y, 40));
-    q.clock = built.x;
-    q.limit = 10'000;
-    return q;
-  };
-  EXPECT_EQ(mc::bound_query_digest(fp_base.ids, query_of(base)),
-            mc::bound_query_digest(fp_edited.ids, query_of(edited)));
-
-  mc::BoundQuery other = query_of(base);
+  mc::BoundQuery other = query;
   other.clock = base.y;
-  EXPECT_NE(mc::bound_query_digest(fp_base.ids, query_of(base)),
-            mc::bound_query_digest(fp_base.ids, other));
-  other = query_of(base);
+  EXPECT_NE(digest, mc::bound_query_digest(other));
+  other = query;
   other.limit = 20'000;
-  EXPECT_NE(mc::bound_query_digest(fp_base.ids, query_of(base)),
-            mc::bound_query_digest(fp_base.ids, other));
+  EXPECT_NE(digest, mc::bound_query_digest(other));
   // The hint seeds the search but cannot change a bound: not part of the key.
-  other = query_of(base);
+  other = query;
   other.hint = 999;
-  EXPECT_EQ(mc::bound_query_digest(fp_base.ids, query_of(base)),
-            mc::bound_query_digest(fp_base.ids, other));
+  EXPECT_EQ(digest, mc::bound_query_digest(other));
 }
 
 // --- Pipeline-level keys: scheme edits, probe sets, options -----------------
@@ -295,11 +281,11 @@ TEST(Fingerprint, SensitiveToSchemeParameters) {
   const Network pim = psv::testing::parse_model_file("pump.psv");
   const core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
   core::ImplementationScheme scheme = psv::testing::parse_scheme_file("board.pss");
-  const Digest128 base = fingerprint(core::transform(pim, info, scheme).psm).digest;
+  const Digest128 base = network_digest(core::transform(pim, info, scheme).psm);
 
   core::ImplementationScheme jittered = scheme;
   jittered.inputs.at("BolusReq").delay_max += 10;
-  EXPECT_NE(base, fingerprint(core::transform(pim, info, jittered).psm).digest)
+  EXPECT_NE(base, network_digest(core::transform(pim, info, jittered).psm))
       << "a scheme timing edit must invalidate the PSM key";
 }
 
@@ -310,38 +296,24 @@ TEST(Fingerprint, SensitiveToProbeInstrumentation) {
       core::transform(pim, info, psv::testing::parse_scheme_file("board.pss"));
   const core::InstrumentedPsm instrumented = core::instrument_psm_for_requirement(
       psm, lang::parse_requirement("REQ1: BolusReq -> StartInfusion within 500"));
-  EXPECT_NE(fingerprint(psm.psm).digest, fingerprint(instrumented.net).digest)
+  EXPECT_NE(network_digest(psm.psm), network_digest(instrumented.net))
       << "the probe set is part of the key (through the instrumented network)";
 }
 
 TEST(Fingerprint, ArtifactKeyCoversResultAffectingOptionsOnly) {
   const BuiltNet base = build({});
-  const NetworkFingerprint fp = fingerprint(base.net);
-  const Digest128 names = names_digest(base.net);
+  const Digest128 network = network_digest(base.net);
   mc::ExploreOptions opts;
-  const mc::ArtifactKey k0 = mc::artifact_key(fp, names, opts);
+  const mc::ArtifactKey k0 = mc::artifact_key(network, opts);
 
   mc::ExploreOptions more_states = opts;
   more_states.max_states = opts.max_states * 2;
-  EXPECT_NE(k0.digest, mc::artifact_key(fp, names, more_states).digest);
+  EXPECT_NE(k0.digest, mc::artifact_key(network, more_states).digest);
 
   // Exploration is deterministic across thread counts; jobs must not key.
   mc::ExploreOptions threaded = opts;
   threaded.jobs = 8;
-  EXPECT_EQ(k0.digest, mc::artifact_key(fp, names, threaded).digest);
-}
-
-// The fingerprint ignores names; the names digest, which the artifact key
-// also carries, sees every rename and declaration reorder.
-TEST(Fingerprint, NamesDigestSeesRenamesAndReorders) {
-  const Digest128 base = names_digest(build({}).net);
-  EXPECT_EQ(base, names_digest(build({}).net));
-  NetKnobs renamed;
-  renamed.rename = true;
-  EXPECT_NE(base, names_digest(build(renamed).net));
-  NetKnobs reordered;
-  reordered.reorder_decls = true;
-  EXPECT_NE(base, names_digest(build(reordered).net));
+  EXPECT_EQ(k0.digest, mc::artifact_key(network, threaded).digest);
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "mc/session.h"
 #include "model_paths.h"
 #include "support/probe_oracle.h"
+#include "ta/fingerprint.h"
 #include "util/rng.h"
 
 namespace psv {

@@ -200,9 +200,8 @@ TEST(VerifierService, ConcurrentCallersShareOneVerifier) {
 
 TEST(VerifierService, PoolDoesNotAliasReorderedDeclarations) {
   // Two renderings of the same two-input network, with the input channel
-  // declarations swapped. Their canonical fingerprints are EQUAL (the
-  // fingerprint is declaration-order-invariant), but the raw ids of the
-  // per-variable probes and C1-C4 flags differ — so sharing one pooled
+  // declarations swapped. They are semantically equal, but the raw ids of
+  // the per-variable probes and C1-C4 flags differ — so sharing one pooled
   // session between them would evaluate the second model's queries against
   // the first model's network. The pool key must keep them apart while a
   // single Verifier serves both.
@@ -264,11 +263,10 @@ TEST(VerifierService, PoolDoesNotAliasReorderedDeclarations) {
   EXPECT_EQ(shared.verify(request_for(pim_a, info_a)).summary(), ref_a);
   EXPECT_EQ(shared.verify(request_for(pim_b, info_b)).summary(), ref_b);
   EXPECT_EQ(shared.verify(request_for(pim_a, info_a)).summary(), ref_a);
-  // The separation property itself: the two instrumented PIMs share a
-  // canonical fingerprint (channel reorder is fingerprint-invariant) but
-  // differ in raw declaration order, so the pool must hold FOUR sessions
-  // (PIM + PSM per representation), not three. A fingerprint-only pool key
-  // would alias the PIM slot — benign for today's appended-probe queries,
+  // The separation property itself: the two instrumented PIMs differ only
+  // in raw declaration order, so the pool must hold FOUR sessions (PIM +
+  // PSM per representation), not three. A reorder-blind pool key would
+  // alias the PIM slot — benign for today's appended-probe queries,
   // silently wrong the moment any queried id depends on declaration order.
   EXPECT_EQ(shared.pooled_sessions(), 4u);
 }

@@ -1,12 +1,14 @@
 // Scheme-synthesis tests (core/synth.h) on the quickstart lattice
 // (examples/models/quickstart.psv x fast_sweep.pss, 8 candidates): frontier
-// byte-identity across worker counts, visit orders and pruning; pruned
+// byte-identity across worker counts, visit orders and pruning; statistics
+// identical across worker counts; pruned
 // candidates spot-re-verified cold as genuinely failing; warm-start sharing;
 // cooperative cancellation; request validation.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -63,12 +65,27 @@ TEST(SchemeTemplate, EnumeratesTheSweepLattice) {
   EXPECT_EQ(tmpl.candidate_name(third), "IS1-fast[output.Ack.delay_max=18]");
 }
 
-TEST(SchemeSynthesizer, FrontierIdenticalAcrossWorkersOrdersAndPruning) {
+std::string stats_text(const core::SynthStats& s) {
+  std::ostringstream os;
+  os << "total " << s.candidates_total << " analytic " << s.pruned_analytic << " dominated "
+     << s.pruned_dominated << " cold " << s.explored_cold << " warm " << s.explored_warm
+     << " fresh " << s.fresh_states << " reused " << s.warm_states_reused;
+  return os.str();
+}
+
+// The frontier is identical for every worker count and visit order. The
+// work accounting follows visit order, not thread timing: a candidate
+// explored while its earlier dominator was still in flight is reclassified
+// as dominance-pruned afterwards, so per visit order the whole SynthStats
+// (and every candidate status) equals a one-worker run's.
+TEST(SchemeSynthesizer, FrontierAndStatsIdenticalAcrossWorkersOrdersAndPruning) {
   Sources src;
 
   std::string reference;
-  for (const unsigned workers : {1u, 2u}) {
-    for (const std::uint64_t seed : {0ull, 1ull, 2ull}) {
+  for (const std::uint64_t seed : {0ull, 1ull, 2ull}) {
+    std::string one_worker_stats;
+    std::vector<core::CandidateOutcome::Status> one_worker_status;
+    for (const unsigned workers : {1u, 2u, 8u}) {
       core::Verifier verifier;
       core::SchemeSynthesizer synthesizer(verifier);
       const core::SynthReport report = synthesizer.run(src.request(workers, seed));
@@ -79,6 +96,16 @@ TEST(SchemeSynthesizer, FrontierIdenticalAcrossWorkersOrdersAndPruning) {
       if (reference.empty()) reference = report.frontier_text();
       EXPECT_EQ(report.frontier_text(), reference)
           << "workers=" << workers << " seed=" << seed;
+
+      std::vector<core::CandidateOutcome::Status> status;
+      for (const core::CandidateOutcome& c : report.candidates) status.push_back(c.status);
+      if (workers == 1) {
+        one_worker_stats = stats_text(report.stats);
+        one_worker_status = status;
+      }
+      EXPECT_EQ(stats_text(report.stats), one_worker_stats)
+          << "workers=" << workers << " seed=" << seed;
+      EXPECT_TRUE(status == one_worker_status) << "workers=" << workers << " seed=" << seed;
     }
   }
 

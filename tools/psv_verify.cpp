@@ -182,7 +182,7 @@ psv::cli::Parser make_parser(CliOptions& cli) {
               "breakdown, --connect runs add the daemon counters");
   parser.flag("--cache-dir", &cli.cache_dir, "DIR",
               "persist verification artifacts in DIR, keyed on the\n"
-              "model's canonical fingerprint: a repeat run on an\n"
+              "model's exact network digest: a repeat run on an\n"
               "unchanged model re-verifies without exploration.\n"
               "Ignored with --connect: the daemon's own --cache-dir\n"
               "applies");
