@@ -27,26 +27,6 @@ std::string ConstraintReport::to_string() const {
 
 namespace {
 
-/// Reachability of a sticky flag == 1, as an individual session query.
-ConstraintCheck flag_check(mc::VerificationSession& session, const std::string& id,
-                           const std::string& name, ta::VarId flag) {
-  ConstraintCheck check;
-  check.id = id;
-  check.name = name;
-  mc::ReachResult r = session.query_reachable(mc::when(ta::var_eq(flag, 1)));
-  check.holds = !r.reachable;
-  if (r.reachable) {
-    check.detail = "violation reachable in " + std::to_string(r.trace.steps.size() - 1) + " steps";
-  } else {
-    check.detail = "verified (" + std::to_string(r.stats.states_stored) + " states)";
-  }
-  return check;
-}
-
-}  // namespace
-
-namespace {
-
 struct FlagSpec {
   std::string id;
   std::string name;
@@ -83,55 +63,39 @@ std::vector<ta::VarId> constraint_flag_vars(const PsmArtifacts& psm) {
 
 ConstraintReport check_constraints(mc::VerificationSession& session, const PsmArtifacts& psm,
                                    bool include_deadlock_check) {
+  // One exploration answers everything: the session's shared full-space
+  // sweep walks the (subsumption-reduced) state space once, recording every
+  // sticky flag and the first timelock along the way. Flags are discrete, so
+  // visiting the reduced space is exact for them.
   ConstraintReport report;
   const std::vector<FlagSpec> flags = constraint_flags(psm);
-
-  if (include_deadlock_check) {
-    // One exploration answers everything: the session's shared full-space
-    // sweep walks the (subsumption-reduced) state space once, recording
-    // every sticky flag along the way. Flags are discrete, so visiting the
-    // reduced space is exact for them. Only a timelock aborts early; then
-    // the per-flag results are not definitive and we fall back to
-    // individual reachability checks.
-    std::vector<ta::VarId> vars;
-    vars.reserve(flags.size());
-    for (const FlagSpec& f : flags) vars.push_back(f.var);
-    const mc::VerificationSession::FlagReport shared = session.check_flags(vars);
-    if (shared.shared_sweep) {
-      for (std::size_t i = 0; i < flags.size(); ++i) {
-        ConstraintCheck check;
-        check.id = flags[i].id;
-        check.name = flags[i].name;
-        check.holds = !shared.reachable[i];
-        check.detail = shared.reachable[i]
-                           ? "violation reachable"
-                           : "verified (" + std::to_string(shared.deadlock.stats.states_stored) +
-                                 " states, shared exploration)";
-        report.checks.push_back(std::move(check));
-      }
-    } else {
-      for (const FlagSpec& f : flags)
-        report.checks.push_back(flag_check(session, f.id, f.name, f.var));
-    }
-
-    const mc::DeadlockResult& dl = shared.deadlock;
-    ConstraintCheck dlc;
-    dlc.id = "C3";
-    dlc.name = "C3: environment accepts outputs / scheme schedulable (no timelock)";
-    dlc.holds = !dl.found || !dl.timelock;
-    if (dl.found && dl.timelock) {
-      dlc.detail = "timelock reachable in " + std::to_string(dl.trace.steps.size() - 1) + " steps";
-    } else if (dl.found) {
-      dlc.detail = "quiescent state exists (time diverges; not a timelock)";
-    } else {
-      dlc.detail = "verified (" + std::to_string(dl.stats.states_stored) + " states)";
-    }
-    report.checks.push_back(std::move(dlc));
-    return report;
+  const mc::VerificationSession::FlagReport shared = session.check_flags(constraint_flag_vars(psm));
+  for (std::size_t i = 0; i < flags.size(); ++i) {
+    ConstraintCheck check;
+    check.id = flags[i].id;
+    check.name = flags[i].name;
+    check.holds = !shared.reachable[i];
+    check.detail = shared.reachable[i]
+                       ? "violation reachable"
+                       : "verified (" + std::to_string(shared.deadlock.stats.states_stored) +
+                             " states, shared exploration)";
+    report.checks.push_back(std::move(check));
   }
+  if (!include_deadlock_check) return report;
 
-  for (const FlagSpec& f : flags)
-    report.checks.push_back(flag_check(session, f.id, f.name, f.var));
+  const mc::DeadlockResult& dl = shared.deadlock;
+  ConstraintCheck dlc;
+  dlc.id = "C3";
+  dlc.name = "C3: environment accepts outputs / scheme schedulable (no timelock)";
+  dlc.holds = !dl.found || !dl.timelock;
+  if (dl.found && dl.timelock) {
+    dlc.detail = "timelock reachable in " + std::to_string(dl.trace.steps.size() - 1) + " steps";
+  } else if (dl.found) {
+    dlc.detail = "quiescent state exists (time diverges; not a timelock)";
+  } else {
+    dlc.detail = "verified (" + std::to_string(dl.stats.states_stored) + " states)";
+  }
+  report.checks.push_back(std::move(dlc));
   return report;
 }
 

@@ -10,8 +10,9 @@
 //        outputs (no FIFO overflow, no timelock at delivery);
 //   (C4) the software takes no internal transition while an input waits at
 //        the io-boundary (the transition decision uses fresh inputs).
-// Each is discharged by model checking the corresponding sticky flag or by
-// deadlock search on the PSM.
+// All are discharged by one full sweep of the PSM: it records which sticky
+// flags reach 1 and the first timelock (the deadlock search), and a
+// timelock does not end it.
 #pragma once
 
 #include <string>
@@ -42,8 +43,9 @@ struct ConstraintReport {
 };
 
 /// Model-check constraints C1-C4 on the PSM (§V). `include_deadlock_check`
-/// additionally searches for timelocks/deadlocks (part of C3's "environment
-/// reads fast enough" and of scheme schedulability).
+/// additionally reports the sweep's timelock/deadlock verdict (part of C3's
+/// "environment reads fast enough" and of scheme schedulability); it never
+/// changes how the flags are answered.
 ConstraintReport check_constraints(const PsmArtifacts& psm, bool include_deadlock_check = true,
                                    mc::ExploreOptions explore = {});
 

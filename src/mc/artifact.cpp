@@ -181,13 +181,6 @@ Digest128 bound_query_digest(const BoundQuery& query) {
   return digest128(enc.buffer().data(), enc.size());
 }
 
-Digest128 state_formula_digest(const StateFormula& formula) {
-  ByteWriter enc;
-  enc.str("psv-state-formula");
-  encode_state_formula(enc, formula);
-  return digest128(enc.buffer().data(), enc.size());
-}
-
 std::vector<std::uint8_t> VerificationArtifact::serialize() const {
   ByteWriter out;
   out.u64(bounds.size());
@@ -206,14 +199,7 @@ std::vector<std::uint8_t> VerificationArtifact::serialize() const {
     write_explore_stats(dl, deadlock.stats);
     out.raw(dl.buffer().data(), dl.size());
   }
-  // Format v4: reachability memos, skeleton digest, exported passed store.
-  out.u64(reaches.size());
-  for (const ReachEntry& entry : reaches) {
-    write_digest(out, entry.query);
-    out.boolean(entry.result.reachable);
-    write_trace(out, entry.result.trace);
-    write_explore_stats(out, entry.result.stats);
-  }
+  // Format v4: skeleton digest, exported passed store.
   write_digest(out, skeleton);
   out.boolean(store.has_value());
   if (store.has_value()) write_passed_store(out, *store);
@@ -245,16 +231,6 @@ VerificationArtifact VerificationArtifact::deserialize(ByteReader& in) {
     artifact.deadlock.stats = read_explore_stats(in);
   }
   // Format v4 payload.
-  const std::size_t reaches = in.length(/*min_element_size=*/16 + 1 + 8);
-  artifact.reaches.reserve(reaches);
-  for (std::size_t i = 0; i < reaches; ++i) {
-    ReachEntry entry;
-    entry.query = read_digest(in);
-    entry.result.reachable = in.boolean();
-    entry.result.trace = read_trace(in);
-    entry.result.stats = read_explore_stats(in);
-    artifact.reaches.push_back(std::move(entry));
-  }
   artifact.skeleton = read_digest(in);
   if (in.boolean()) artifact.store = read_passed_store(in);
   PSV_REQUIRE_AS(::psv::ErrorCode::kProtocol, in.at_end(), "corrupt artifact: trailing bytes after payload");

@@ -23,10 +23,9 @@
 // endianness marker, an echo of the key, and a 128-bit payload checksum.
 // load() treats ANY mismatch — truncation, bit flips, version or endianness
 // drift, a foreign key — as a miss: one warning line, no crash, and the
-// caller falls back to exploration. Since format v4, individual
-// query_reachable() calls are persisted alongside the batch bounds and the
-// shared flag sweep, as is the exported passed store that warm-starts
-// skeleton-equal successors.
+// caller falls back to exploration. Since format v4, the exported passed
+// store that warm-starts skeleton-equal successors is persisted alongside
+// the batch bounds and the shared flag sweep.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +61,11 @@ namespace psv::mc {
 /// fingerprint and the names digest are gone), so an edge, conjunct, reset
 /// or declaration reorder misses instead of serving a passed store indexed
 /// by the old edge order; query digests and the flag sweep use raw ids.
-inline constexpr std::uint32_t kArtifactFormatVersion = 8;
+/// Version 9: the memoized reachability results are gone from the payload
+/// (every C1–C4 flag comes from the shared sweep, which a timelock no
+/// longer ends), and a persisted flag sweep's deadlock statistics are the
+/// full sweep's.
+inline constexpr std::uint32_t kArtifactFormatVersion = 9;
 
 /// Content-addressed cache key; hex() names the artifact file.
 struct ArtifactKey {
@@ -97,10 +100,6 @@ Trace read_trace(ByteReader& in);
 /// so queries with different retention depths must not share a memo entry.
 Digest128 bound_query_digest(const BoundQuery& query);
 
-/// Digest of a bare state formula, over raw ids like bound_query_digest.
-/// Keys the memoized query_reachable() results.
-Digest128 state_formula_digest(const StateFormula& formula);
-
 /// The serializable memo of a verification session.
 struct VerificationArtifact {
   struct BoundEntry {
@@ -116,15 +115,6 @@ struct VerificationArtifact {
   DeadlockResult deadlock;
 
   // --- Format v4 ------------------------------------------------------------
-
-  /// Memoized plain reachability checks (state_formula_digest-keyed): the
-  /// witness searches a failing requirement re-runs on every repeated
-  /// request. Sorted by query digest.
-  struct ReachEntry {
-    Digest128 query;
-    ReachResult result;
-  };
-  std::vector<ReachEntry> reaches;
 
   /// ta::skeleton_digest of the session network: the key under which
   /// this artifact's passed store is indexed as a warm-start ancestor for

@@ -75,7 +75,7 @@ struct SweepRound {
   /// witness_consts for every target it resolves).
   std::vector<std::int32_t> extra;
   ExploreStats stats;
-  /// Passed store of this sweep (capture mode, complete runs only).
+  /// Passed store of this sweep (capture mode).
   std::optional<PassedStoreExport> exported;
 };
 
@@ -106,9 +106,7 @@ bool constrain_by(dbm::Dbm& zone, const ta::ClockConstraint& cc) {
 /// bound means the maximum escaped the candidate.
 ///
 /// With `flags`, the exploration additionally records per-variable ==1
-/// reachability and runs the deadlock search (combined batch sweep). A
-/// timelock then aborts the exploration early — `flags->valid` turns false
-/// and the round's bound outcomes are partial; the caller must discard them.
+/// reachability and hands over its deadlock result (combined batch sweep).
 SweepRound sweep_once(const ta::Network& net, const std::vector<BoundQuery>& queries,
                       const std::vector<SweepTarget>& targets, std::int64_t factor,
                       ExploreOptions opts, FlagSweepOutcome* flags = nullptr,
@@ -132,7 +130,11 @@ SweepRound sweep_once(const ta::Network& net, const std::vector<BoundQuery>& que
   Reachability engine(net, StateFormula{}, opts, std::move(extra));
   if (capture) engine.enable_capture();
   if (ancestor != nullptr) engine.set_ancestor(ancestor);
+  if (flags != nullptr) flags->var_seen_one.assign(static_cast<std::size_t>(net.num_vars()), 0);
   const auto visit = [&](const SymState& state, std::uint64_t id) {
+    if (flags != nullptr)
+      for (std::size_t v = 0; v < state.vars.size(); ++v)
+        if (state.vars[v] == 1) flags->var_seen_one[v] = 1;
     for (std::size_t t = 0; t < targets.size(); ++t) {
       const SweepTarget& target = targets[t];
       if (!satisfies(net, state, target.discrete)) continue;
@@ -167,21 +169,11 @@ SweepRound sweep_once(const ta::Network& net, const std::vector<BoundQuery>& que
       }
     }
   };
-  if (flags == nullptr) {
-    round.stats = engine.explore_all(visit);
-  } else {
-    flags->var_seen_one.assign(static_cast<std::size_t>(net.num_vars()), 0);
-    DeadlockResult deadlock =
-        engine.find_deadlock([&](const SymState& state, std::uint64_t id) {
-          for (std::size_t v = 0; v < state.vars.size(); ++v)
-            if (state.vars[v] == 1) flags->var_seen_one[v] = 1;
-          visit(state, id);
-        });
+  DeadlockResult deadlock = engine.find_deadlock(visit);
+  round.stats = deadlock.stats;
+  if (flags != nullptr) {
     flags->ran = true;
-    flags->valid = !(deadlock.found && deadlock.timelock);
-    round.stats = deadlock.stats;
     flags->deadlock = std::move(deadlock);
-    if (!flags->valid) return round;  // partial outcomes; caller discards them
   }
   for (SweepOutcome& o : round.outcomes) {
     std::vector<std::uint64_t> ids;
@@ -261,18 +253,6 @@ std::vector<MaxClockResult> max_clock_values(const ta::Network& net,
   // and the deadlock search.
   {
     SweepRound round = sweep_once(net, queries, targets, 1, opts, flags, ancestor, capture);
-    if (flags != nullptr && flags->ran && !flags->valid) {
-      // A timelock aborted the combined sweep: the deadlock verdict stands,
-      // but the bound outcomes cover only part of the space. Account the
-      // aborted exploration to the batch and redo round 0 without the
-      // piggyback (a plain sweep runs to completion — only the deadlock
-      // search honors the timelock early exit).
-      if (batch_stats) {
-        accumulate_stats(batch_stats->explore, round.stats);
-        ++batch_stats->explorations;
-      }
-      round = sweep_once(net, queries, targets, 1, opts, nullptr, ancestor, capture);
-    }
     if (batch_stats) {
       accumulate_stats(batch_stats->explore, round.stats);
       ++batch_stats->explorations;

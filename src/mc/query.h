@@ -6,6 +6,10 @@
 //                         condition holds (M-C delay, Input-Delay, ...)
 //   * deadlock freedom  — sanity of constructed PSMs
 //
+// Every sweep is a full deadlock search (Reachability::find_deadlock), so a
+// batch's round-0 exploration can also answer the C1–C4 flags and the
+// timelock question (FlagSweepOutcome) whatever it finds.
+//
 // Maximum clock values are answered by the sweep engine: explore the state
 // space ONCE and track, per symbolic state satisfying pred, the DBM upper
 // bound of the probe clock. A finite upper bound below the extrapolation
@@ -103,17 +107,12 @@ struct BatchQueryStats {
 /// (the batch planner's "one probe-instrumented sweep answers everything"):
 /// while the sweep reads the probe-clock maxima off every stored state, the
 /// same exploration records which variables ever reach value 1 (the C1–C4
-/// sticky flags are a subset) and runs the deadlock/timelock search.
+/// sticky flags are a subset) and the first timelock or quiescent state.
+/// A timelock does not end the sweep, so every field is definitive.
 struct FlagSweepOutcome {
   /// True when a combined exploration ran (set by every batch that explores;
   /// stays false when the caller never passed it to one).
   bool ran = false;
-  /// False when a timelock aborted the shared sweep before the full space
-  /// was visited: `deadlock` is definitive but `var_seen_one` is not (same
-  /// contract as VerificationSession::FlagReport::shared_sweep). The bound
-  /// results are NOT affected — on an aborted round 0 the sweep re-runs
-  /// without the piggyback, so bounds always come from complete sweeps.
-  bool valid = false;
   std::vector<std::uint8_t> var_seen_one;  ///< per VarId: some state has v == 1
   DeadlockResult deadlock;
 };

@@ -145,7 +145,7 @@ void Reachability::run_parallel(std::size_t n, const std::function<void(std::siz
   for (std::size_t i = 0; i < n; ++i) body(i);
 }
 
-void Reachability::generate_wave(bool compute_blocked) {
+void Reachability::generate_wave() {
   const std::size_t n = frontier_.size();
   if (jobs_ > 1 && !pool_ && n >= kPoolSpawnWidth) {
     pool_ = std::make_unique<WorkerPool>(jobs_ - 1);
@@ -169,7 +169,7 @@ void Reachability::generate_wave(bool compute_blocked) {
       }
       out.push_back(std::move(gs));
     }
-    if (out.empty() && compute_blocked) {
+    if (out.empty()) {
       // Stored zones are delay-closed, so "no action successor" means no
       // action can ever be taken from any valuation in this state. The
       // state is a timelock when urgency/committedness or an invariant
@@ -280,7 +280,7 @@ Reachability::WaveEnd Reachability::run_waves(const Visitor& visit, Stop stop) {
     if (stop == Stop::kGoal) {
       for (const std::uint64_t id : frontier_) {
         if (satisfies(net_, stored(id).state, goal_)) {
-          end.stop = id;
+          end.goal = id;
           return end;
         }
       }
@@ -289,27 +289,21 @@ Reachability::WaveEnd Reachability::run_waves(const Visitor& visit, Stop stop) {
       stats_.warm_seed_expansions += frontier_.size();
       first_warm_wave = false;
     }
-    generate_wave(/*compute_blocked=*/stop == Stop::kTimelock);
+    generate_wave();
     // Scan the wave in rank (exploration) order: visit callbacks fire
-    // sequentially, quiescence is recorded at its first occurrence, and a
-    // timelock ends the run at its rank with none of the wave committed.
+    // sequentially, and the first timelock and the first quiescent state
+    // are recorded where they occur. Neither ends the run.
     for (std::size_t i = 0; i < frontier_.size(); ++i) {
       const std::uint64_t id = frontier_[i];
       if (visit && !skip_visit) visit(stored(id).state, id);
-      if (stop != Stop::kTimelock || !wave_succs_[i].empty()) continue;
-      if (wave_blocked_[i]) {
-        stats_.states_explored += i + 1;
-        end.stop = id;
-        return end;
-      }
-      // Plain quiescence (time diverges) is recorded but the search
-      // continues: a benign quiescent corner must not mask a timelock.
-      if (!end.quiescent) end.quiescent = id;
+      if (!wave_succs_[i].empty()) continue;
+      std::optional<std::uint64_t>& first = wave_blocked_[i] ? end.timelock : end.quiescent;
+      if (!first) first = id;
     }
     skip_visit = false;
     insert_wave();
   }
-  // Only complete explorations export: an aborted run's store is a prefix.
+  // Only complete explorations export: a goal search's store is a prefix.
   if (capture_) export_ = build_export();
   return end;
 }
@@ -320,11 +314,11 @@ ExploreStats Reachability::explore_all(const Visitor& visit) {
 }
 
 DeadlockResult Reachability::find_deadlock(const Visitor& visit) {
-  const WaveEnd end = run_waves(visit, Stop::kTimelock);
+  const WaveEnd end = run_waves(visit, Stop::kNever);
   DeadlockResult result;
-  if (const std::optional<std::uint64_t> id = end.stop ? end.stop : end.quiescent) {
+  if (const std::optional<std::uint64_t> id = end.timelock ? end.timelock : end.quiescent) {
     result.found = true;
-    result.timelock = end.stop.has_value();
+    result.timelock = end.timelock.has_value();
     result.trace = build_trace(*id);
   }
   result.stats = snapshot_stats();
@@ -599,8 +593,8 @@ ReachResult reachable(const ta::Network& net, const StateFormula& goal, ExploreO
   Reachability engine(net, goal, opts);
   const Reachability::WaveEnd end = engine.run_waves(nullptr, Reachability::Stop::kGoal);
   ReachResult result;
-  result.reachable = end.stop.has_value();
-  if (result.reachable) result.trace = engine.build_trace(*end.stop);
+  result.reachable = end.goal.has_value();
+  if (result.reachable) result.trace = engine.build_trace(*end.goal);
   result.stats = engine.snapshot_stats();
   return result;
 }

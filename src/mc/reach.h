@@ -29,11 +29,12 @@
 //     frontier empties;
 //   * goal search (reachable) stops at the first live frontier state, in
 //     exploration order, that satisfies the goal, before that wave expands;
-//   * deadlock search (find_deadlock) inspects live zones only — a zone
-//     covered by another with the same discrete state is never checked for
-//     missing successors — records the first quiescent state and stops at
-//     the frontier rank of the first timelock, committing none of that
-//     wave's successors.
+//   * every run records, in rank order, the first timelocked and the first
+//     quiescent live state (a successor-free zone is checked for blocked
+//     time; a zone covered by another with the same discrete state is never
+//     checked), so deadlock search (find_deadlock) is the full sweep itself
+//     and one exploration answers the deadlock question, the C1–C4 flags
+//     and the bound maxima together.
 //
 // ExploreOptions::max_states is checked at wave barriers: a wave that
 // crosses the cap throws, for every query kind and every thread count.
@@ -80,10 +81,11 @@ struct ReachResult {
   ExploreStats stats;
 };
 
-/// Result of deadlock detection. Timelocks (no action possible AND an
-/// invariant stops time) abort the search immediately; plain quiescence (no
-/// action possible but time diverges) is recorded while the exploration
-/// continues, so a benign quiescent corner never masks a timelock.
+/// Result of deadlock detection over a full sweep. The first timelock (no
+/// action possible AND an invariant or urgency stops time) in exploration
+/// order is reported; plain quiescence (no action possible but time
+/// diverges) is reported only when no timelock is reachable, so a benign
+/// quiescent corner never masks a timelock. `stats` are the full sweep's.
 struct DeadlockResult {
   bool found = false;
   /// True when the reported state has a time-blocked zone (timelock);
@@ -138,11 +140,11 @@ class Reachability {
   /// materialized rankings are bit-identical at every thread count.
   std::vector<Trace> traces_of(const std::vector<std::uint64_t>& ids) const;
 
-  /// Deadlock search: find a state with no action successor. The optional
-  /// `visit` callback sees every explored state up to a timelock, letting
-  /// callers piggyback analyses on the same exploration — the combined
-  /// batch sweep runs the deadlock search, the C1–C4 flag recording, AND
-  /// the bound-query maxima off this one exploration.
+  /// Deadlock search: the explore_all sweep, reporting the first timelock,
+  /// else the first quiescent state. The optional `visit` callback sees
+  /// every live state, letting callers piggyback analyses on the same
+  /// exploration — the batch sweep runs the deadlock search, the C1–C4 flag
+  /// recording, AND the bound-query maxima off this one exploration.
   DeadlockResult find_deadlock(const Visitor& visit = nullptr);
 
   /// Record everything a passed-store export needs beyond the always-kept
@@ -159,9 +161,8 @@ class Reachability {
   /// not match. The pointee must outlive the run.
   void set_ancestor(const PassedStoreExport* ancestor) { ancestor_ = ancestor; }
 
-  /// The store exported by the last COMPLETE capture-mode explore_all /
-  /// find_deadlock run; empty when capture was off or the run aborted early
-  /// (timelock).
+  /// The store exported by the last capture-mode explore_all /
+  /// find_deadlock run; empty when capture was off.
   std::optional<PassedStoreExport> take_export() { return std::move(export_); }
 
  private:
@@ -288,26 +289,27 @@ class Reachability {
 
   /// What ends a run of the wave loop before the frontier empties.
   enum class Stop {
-    kNever,     ///< full sweep
-    kGoal,      ///< first live frontier state satisfying goal_
-    kTimelock,  ///< first timelocked state (records the first quiescent one)
+    kNever,  ///< full sweep
+    kGoal,   ///< first live frontier state satisfying goal_
   };
-  /// Where a run of the wave loop ended.
+  /// What a run of the wave loop found, each first in rank order.
   struct WaveEnd {
-    std::optional<std::uint64_t> stop;       ///< the goal or timelock state
-    std::optional<std::uint64_t> quiescent;  ///< first quiescent state (kTimelock)
+    std::optional<std::uint64_t> goal;       ///< goal state (kGoal)
+    std::optional<std::uint64_t> timelock;   ///< successor-free, time blocked
+    std::optional<std::uint64_t> quiescent;  ///< successor-free, time diverges
   };
 
   /// The one wave loop: seed (warm or cold), then per wave stop at the
   /// first goal state (kGoal), generate successors, visit the live frontier
-  /// in rank order up to the first timelock (kTimelock), and insert the
-  /// wave. Only a run that empties the frontier exports its store.
+  /// in rank order recording the first timelock and quiescent state, and
+  /// insert the wave. Only a run that empties the frontier exports its
+  /// store.
   WaveEnd run_waves(const Visitor& visit, Stop stop);
 
   /// Generate successors for the whole frontier in parallel into
-  /// wave_succs_ / wave_blocked_. `compute_blocked` evaluates
-  /// timelock-ness of successor-free states.
-  void generate_wave(bool compute_blocked);
+  /// wave_succs_, and the timelock-ness of successor-free states into
+  /// wave_blocked_.
+  void generate_wave();
 
   /// Insert the whole wave shard-parallel in rank order, check the state
   /// cap, and assemble the next frontier (rank-sorted). Accounts

@@ -84,9 +84,7 @@ VerificationSession::BatchReport VerificationSession::verify_batch(
   FlagSweepOutcome sweep;
   report.bounds = answer_bounds(queries, &sweep);
   if (sweep.ran) {
-    // Adopt the piggybacked sweep as the session's cached flag sweep (the
-    // timelock-aborted case carries the same partial-verdict semantics as
-    // a dedicated sweep that hit the same timelock).
+    // Adopt the piggybacked sweep as the session's cached flag sweep.
     var_seen_one_.assign(static_cast<std::size_t>(net_.num_vars()), false);
     for (std::size_t v = 0; v < sweep.var_seen_one.size(); ++v)
       var_seen_one_[v] = sweep.var_seen_one[v] != 0;
@@ -135,10 +133,6 @@ VerificationSession::FlagReport VerificationSession::check_flags(
   report.deadlock = deadlock_;
   stats_.queries += static_cast<int>(flags.size()) + 1;  // flags + deadlock
   if (served_from_memo) stats_.cache_hits += static_cast<int>(flags.size()) + 1;
-  // A timelock aborts the shared sweep before the full space is visited;
-  // the per-flag verdicts are then not definitive.
-  report.shared_sweep = !(deadlock_.found && deadlock_.timelock);
-  if (!report.shared_sweep) return report;
   report.reachable.reserve(flags.size());
   for (const ta::VarId flag : flags) {
     PSV_REQUIRE_AS(::psv::ErrorCode::kVerify, flag >= 0 && flag < net_.num_vars(),
@@ -146,22 +140,6 @@ VerificationSession::FlagReport VerificationSession::check_flags(
     report.reachable.push_back(var_seen_one_[static_cast<std::size_t>(flag)]);
   }
   return report;
-}
-
-ReachResult VerificationSession::query_reachable(const StateFormula& goal) {
-  const Digest128 key = state_formula_digest(goal);
-  ++stats_.queries;
-  if (const auto hit = reach_cache_.find(key); hit != reach_cache_.end()) {
-    ++stats_.cache_hits;
-    return hit->second;
-  }
-  ReachResult r = reachable(net_, goal, opts_);
-  accumulate_stats(stats_.explore, r.stats);
-  ++stats_.explorations;
-  reach_cache_.emplace(key, r);
-  ++stats_.entries_added;
-  dirty_ = true;
-  return r;
 }
 
 bool VerificationSession::load(const ArtifactStore& store) {
@@ -174,10 +152,6 @@ bool VerificationSession::load(const ArtifactStore& store) {
   }
   for (VerificationArtifact::BoundEntry& entry : artifact->bounds) {
     if (bound_cache_.emplace(entry.query, std::move(entry.result)).second)
-      ++stats_.entries_loaded;
-  }
-  for (VerificationArtifact::ReachEntry& entry : artifact->reaches) {
-    if (reach_cache_.emplace(entry.query, std::move(entry.result)).second)
       ++stats_.entries_loaded;
   }
   // Carry the persisted store forward: it is this session's export until a
@@ -210,12 +184,6 @@ bool VerificationSession::store(const ArtifactStore& store) const {
     artifact.var_seen_one.assign(var_seen_one_.begin(), var_seen_one_.end());
     artifact.deadlock = deadlock_;
   }
-  artifact.reaches.reserve(reach_cache_.size());
-  for (const auto& [key, result] : reach_cache_)
-    artifact.reaches.push_back(VerificationArtifact::ReachEntry{key, result});
-  std::sort(artifact.reaches.begin(), artifact.reaches.end(),
-            [](const VerificationArtifact::ReachEntry& a,
-               const VerificationArtifact::ReachEntry& b) { return a.query < b.query; });
   artifact.skeleton = skeleton_;
   if (exported_ != nullptr) artifact.store = *exported_;
   return store.store(cache_key_, artifact);

@@ -9,9 +9,10 @@
 //     delay) answered by the sweep engine from ONE full-space exploration,
 //     with the widen-and-refine candidates running in parallel;
 //   * check_flags — reachability of all C1–C4 sticky flags plus the
-//     deadlock/timelock search from one shared exploration, cached across
+//     deadlock/timelock search from one shared full sweep, cached across
 //     calls (the flags are discrete, so visiting the subsumption-reduced
-//     space once is exact for every flag at once);
+//     space once is exact for every flag at once; a timelock does not end
+//     the sweep);
 //   * repeated queries are memoized — asking the same bound twice costs no
 //     second exploration (SessionStats::cache_hits counts these).
 //
@@ -85,16 +86,10 @@ class VerificationSession {
 
   /// Reachability of `flag == 1` for each sticky flag, plus the
   /// deadlock/timelock search, from one shared full-space exploration. The
-  /// exploration is cached: later calls (any flag set) are free. When a
-  /// timelock aborts the shared sweep early its flag verdicts are not
-  /// definitive: `shared_sweep` is false, `reachable` is empty, and callers
-  /// should fall back to individual query_reachable() calls.
+  /// exploration is cached: later calls (any flag set) are free.
   struct FlagReport {
     std::vector<bool> reachable;  ///< index-aligned with the queried flags
     DeadlockResult deadlock;
-    /// True when the verdicts came from the shared full-space sweep (the
-    /// caller may report its statistics); false for the timelock fallback.
-    bool shared_sweep = true;
   };
   FlagReport check_flags(const std::vector<ta::VarId>& flags);
 
@@ -113,12 +108,6 @@ class VerificationSession {
   };
   BatchReport verify_batch(const std::vector<BoundQuery>& queries,
                            const std::vector<ta::VarId>& flags);
-
-  /// Plain reachability of `goal` under the session options. Memoized
-  /// (state_formula_digest-keyed) and persisted by store() since format v4 —
-  /// the failing-path witness searches a repeated FAIL request re-runs are
-  /// served from the memo with zero exploration.
-  ReachResult query_reachable(const StateFormula& goal);
 
   // --- Incremental exploration (warm start) --------------------------------
 
@@ -148,10 +137,9 @@ class VerificationSession {
   /// already answered are kept; call load() before querying for full effect.
   bool load(const ArtifactStore& store);
 
-  /// Persist the memo (answered bounds, reachability results, the shared
-  /// flag sweep, and the exported passed store) under
-  /// cache_key(). Skips the write and returns false when the session holds
-  /// nothing beyond what load() brought in.
+  /// Persist the memo (answered bounds, the shared flag sweep, and the
+  /// exported passed store) under cache_key(). Skips the write and returns
+  /// false when the session holds nothing beyond what load() brought in.
   bool store(const ArtifactStore& store) const;
 
   /// True when load() populated this session from a persistent artifact.
@@ -190,7 +178,6 @@ class VerificationSession {
   DeadlockResult deadlock_;
 
   std::unordered_map<Digest128, MaxClockResult, Digest128Hash> bound_cache_;
-  std::unordered_map<Digest128, ReachResult, Digest128Hash> reach_cache_;
 
   // Incremental exploration: the adopted ancestor store and this session's
   // own export (fresh capture, or carried over from a warm load).

@@ -89,15 +89,8 @@ mc::VerificationArtifact sample_artifact() {
   artifact.deadlock.trace.steps = {{"delay", "(L0, M0) vars{} zone{}"}};
   artifact.deadlock.stats = {100, 90, 300, 12};
 
-  // v4 payload: memoized reachability results, the skeleton digest, and a
-  // small passed store. The fuzzing tests below corrupt (and truncate
-  // inside) these bytes too.
-  mc::VerificationArtifact::ReachEntry reach;
-  reach.query = Digest128{0x5555, 0x6666};
-  reach.result.reachable = true;
-  reach.result.trace.steps = {{"P.L0->L1[ch!]", "(L1, M0) vars{a=1} zone{x<=5}"}};
-  reach.result.stats = {40, 33, 80, 4};
-  artifact.reaches.push_back(reach);
+  // v4 payload: the skeleton digest and a small passed store. The fuzzing
+  // tests below corrupt (and truncate inside) these bytes too.
   artifact.skeleton = Digest128{0xbbbb, 0xcccc};
 
   mc::PassedStoreExport store;
@@ -158,13 +151,6 @@ void expect_artifacts_equal(const mc::VerificationArtifact& a, const mc::Verific
   EXPECT_EQ(a.deadlock.stats.states_stored, b.deadlock.stats.states_stored);
   ASSERT_EQ(a.deadlock.trace.steps.size(), b.deadlock.trace.steps.size());
 
-  ASSERT_EQ(a.reaches.size(), b.reaches.size());
-  for (std::size_t i = 0; i < a.reaches.size(); ++i) {
-    EXPECT_EQ(a.reaches[i].query, b.reaches[i].query);
-    EXPECT_EQ(a.reaches[i].result.reachable, b.reaches[i].result.reachable);
-    EXPECT_EQ(a.reaches[i].result.trace.to_string(), b.reaches[i].result.trace.to_string());
-    EXPECT_EQ(a.reaches[i].result.stats.states_explored, b.reaches[i].result.stats.states_explored);
-  }
   EXPECT_EQ(a.skeleton, b.skeleton);
   ASSERT_EQ(a.store.has_value(), b.store.has_value());
   if (a.store.has_value()) {
@@ -301,9 +287,9 @@ TEST(ArtifactHardening, VersionAndEndiannessMismatchesAreRejected) {
   write_file_bytes(store.path_of(key), bumped);
   EXPECT_FALSE(store.load(key).has_value());
 
-  // A stale file of the previous version (v5: it still carries the
-  // bounded-response memo) is rejected the same way: a warned miss that
-  // makes the session re-explore and overwrite it with the current format.
+  // A stale file of the previous version (v8: it still carries the
+  // reachability memo) is rejected the same way: a warned miss that makes
+  // the session re-explore and overwrite it with the current format.
   std::vector<std::uint8_t> stale = pristine;
   stale[4] = static_cast<std::uint8_t>(mc::kArtifactFormatVersion - 1);
   write_file_bytes(store.path_of(key), stale);

@@ -1,6 +1,10 @@
 // Known-answer tests for the zone-based model checker.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "mc/query.h"
 #include "mc/reach.h"
 #include "mc/state.h"
@@ -510,6 +514,46 @@ TEST(Deadlock, TimelockDetected) {
   DeadlockResult r = engine.find_deadlock();
   EXPECT_TRUE(r.found);
   EXPECT_TRUE(r.timelock) << "x<=5 with no escape is a timelock";
+}
+
+// L0 branches to Q (quiescent: no edge, no invariant) and M; M branches to
+// T (timelock: no edge, x <= 5) and on along N -> P -> R. Exploration order
+// meets Q in wave 1 and T in wave 2, and P and R only after T.
+TEST(Deadlock, FirstTimelockReportedAfterFullSweep) {
+  Network net("late_timelock");
+  const ClockId x = net.add_clock("x");
+  Automaton a("A");
+  const LocId l0 = a.add_location("L0");
+  const LocId q = a.add_location("Q");
+  const LocId m = a.add_location("M");
+  const LocId t = a.add_location("T", LocKind::kNormal, {cc_le(x, 5)});
+  const LocId n = a.add_location("N");
+  const LocId p = a.add_location("P");
+  const LocId r = a.add_location("R");
+  for (const auto& [src, dst] : std::vector<std::pair<LocId, LocId>>{
+           {l0, q}, {l0, m}, {m, t}, {m, n}, {n, p}, {p, r}}) {
+    Edge e;
+    e.src = src;
+    e.dst = dst;
+    a.add_edge(e);
+  }
+  net.add_automaton(std::move(a));
+
+  Reachability deadlock_engine(net, StateFormula{});
+  const DeadlockResult dl = deadlock_engine.find_deadlock();
+  EXPECT_TRUE(dl.found);
+  EXPECT_TRUE(dl.timelock) << "the timelock wins over the earlier quiescent state";
+  ASSERT_EQ(dl.trace.steps.size(), 3u) << dl.trace.to_string();
+  EXPECT_EQ(dl.trace.steps[1].state.rfind("(A.M)", 0), 0u) << dl.trace.to_string();
+  EXPECT_EQ(dl.trace.steps[2].state.rfind("(A.T)", 0), 0u) << dl.trace.to_string();
+
+  Reachability sweep_engine(net, StateFormula{});
+  const ExploreStats full = sweep_engine.explore_all(nullptr);
+  EXPECT_EQ(full.states_stored, 7u) << "every location, R past the timelock included";
+  EXPECT_EQ(dl.stats.states_stored, full.states_stored);
+  EXPECT_EQ(dl.stats.states_explored, full.states_explored);
+  EXPECT_EQ(dl.stats.transitions_fired, full.transitions_fired);
+  EXPECT_EQ(dl.stats.subsumed, full.subsumed);
 }
 
 TEST(Deadlock, LiveSystemHasNone) {

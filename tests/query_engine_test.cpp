@@ -451,6 +451,57 @@ TEST(SessionReuse, RepeatedFlagChecksShareOneExploration) {
   EXPECT_TRUE(first.all_hold()) << first.to_string();
 }
 
+// Property, over quickstart schemes whose period runs from PASS (10 ms) to a
+// reachable timelock (200 ms): every C1–C4 verdict read off the one shared
+// sweep — the dedicated flag sweep of check_constraints and the batch sweep
+// of the Verifier alike — equals an independent goal search for that flag,
+// and the deadlock verdict is the same at every thread count. The goal
+// search is the reference semantics the shared sweep is held to.
+TEST(SharedSweepProperty, FlagVerdictsMatchPerFlagGoalSearchFromPassToTimelock) {
+  const Network pim = parse_model_file("quickstart.psv");
+  const core::PimInfo info = core::analyze_pim(pim);
+  const core::TimingRequirement req{"QREQ", "Req", "Ack", 80};
+  int timelocked = 0;
+  int timelock_free = 0;
+  for (const std::int32_t period : {10, 20, 40, 80, 120, 160, 200}) {
+    core::ImplementationScheme scheme = parse_scheme_file("late.pss");
+    scheme.io.period = period;
+    const std::string label = "period " + std::to_string(period);
+    const core::PsmArtifacts psm = core::transform(pim, info, scheme);
+    const std::vector<VarId> flags = core::constraint_flag_vars(psm);
+
+    const core::ConstraintReport report = core::check_constraints(psm);
+    core::VerifyRequest request;
+    request.pim = pim;
+    request.info = info;
+    request.schemes = {scheme};
+    request.requirements = {req};
+    const core::VerifyReport verified = core::Verifier().verify(request);
+    const core::ConstraintReport& batched = verified.schemes.at(0).constraints;
+    ASSERT_EQ(report.checks.size(), flags.size() + 1) << label;
+    ASSERT_EQ(batched.checks.size(), flags.size() + 1) << label;
+    for (std::size_t i = 0; i < flags.size(); ++i) {
+      const bool reference = mc::reachable(psm.psm, mc::when(var_eq(flags[i], 1))).reachable;
+      EXPECT_EQ(report.checks[i].holds, !reference) << label << ": " << report.checks[i].name;
+      EXPECT_EQ(batched.checks[i].holds, !reference) << label << ": " << batched.checks[i].name;
+    }
+
+    std::vector<mc::DeadlockResult> deadlocks;
+    for (const unsigned jobs : {1u, 4u}) {
+      mc::Reachability engine(psm.psm, mc::StateFormula{}, jobs_opts(jobs));
+      deadlocks.push_back(engine.find_deadlock());
+    }
+    EXPECT_EQ(deadlocks[0].found, deadlocks[1].found) << label;
+    EXPECT_EQ(deadlocks[0].timelock, deadlocks[1].timelock) << label;
+    const bool timelock = deadlocks[0].found && deadlocks[0].timelock;
+    EXPECT_EQ(report.checks.back().holds, !timelock) << label;
+    EXPECT_EQ(batched.checks.back().holds, !timelock) << label;
+    ++(timelock ? timelocked : timelock_free);
+  }
+  EXPECT_GT(timelocked, 0) << "the sweep must reach the timelocked schemes";
+  EXPECT_GT(timelock_free, 0) << "the sweep must start from schedulable schemes";
+}
+
 // --- Incremental exploration (warm start) ------------------------------------
 
 // Property, over the seeded randomized family: adopt the unperturbed net's

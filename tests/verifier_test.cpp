@@ -114,7 +114,6 @@ TEST(VerifierPumpEquivalence, SessionStatsExposeSharedWork) {
       session.verify_batch(plan.queries, core::constraint_flag_vars(psm));
   EXPECT_EQ(session.stats().explorations, 1)
       << "flags + every bound of 3 requirements from ONE exploration";
-  EXPECT_TRUE(batch.flags.shared_sweep);
   ASSERT_EQ(batch.bounds.size(), plan.queries.size());
   // Re-asking anything is free now.
   const int explorations = session.stats().explorations;
@@ -122,6 +121,37 @@ TEST(VerifierPumpEquivalence, SessionStatsExposeSharedWork) {
   session.check_flags(core::constraint_flag_vars(psm));
   EXPECT_EQ(session.stats().explorations, explorations);
   EXPECT_GT(session.stats().cache_hits, 0);
+}
+
+// A timelocked PSM (quickstart + late.pss: the 200 ms period overruns M's
+// response window) answers its C1–C4 flags, the timelock verdict and every
+// bound from the one batch sweep: the timelock does not end it, so nothing
+// is re-explored afterwards.
+TEST(VerifierTimelock, LateSchemeAnswersFlagsDeadlockAndBoundsFromOneSweep) {
+  const ta::Network pim = parse_model_file("quickstart.psv");
+  const core::PimInfo info = core::analyze_pim(pim);
+  const std::vector<core::TimingRequirement> reqs = {{"QREQ", "Req", "Ack", 80}};
+  const core::PimVerification pim_v = core::verify_pim_requirement(pim, info, reqs.front());
+  ASSERT_TRUE(pim_v.bounded);
+
+  const core::PsmArtifacts psm = core::transform(pim, info, parse_scheme_file("late.pss"));
+  core::InstrumentedPsmBatch instrumented = core::instrument_psm_for_requirements(psm, reqs);
+  mc::VerificationSession session(std::move(instrumented.net), {});
+  const core::BoundQueryPlan plan = core::plan_bound_queries(
+      psm, instrumented.mc_probes, reqs, {pim_v.max_delay}, 1'000'000);
+  const mc::VerificationSession::BatchReport batch =
+      session.verify_batch(plan.queries, core::constraint_flag_vars(psm));
+  EXPECT_EQ(session.stats().explorations, 1)
+      << "flags, timelock and every bound of a timelocked PSM from ONE exploration";
+  EXPECT_TRUE(batch.flags.deadlock.found && batch.flags.deadlock.timelock);
+  ASSERT_EQ(batch.flags.reachable.size(), core::constraint_flag_vars(psm).size());
+
+  const core::ConstraintReport report = core::check_constraints(session, psm);
+  EXPECT_EQ(session.stats().explorations, 1) << "check_constraints is served from the sweep";
+  EXPECT_FALSE(report.all_hold()) << report.to_string();
+  ASSERT_FALSE(report.checks.empty());
+  EXPECT_NE(report.checks.back().detail.find("timelock reachable"), std::string::npos)
+      << report.to_string();
 }
 
 }  // namespace
