@@ -161,6 +161,9 @@ PimVerification verify_pim_requirement(const ta::Network& pim, const PimInfo& in
   query.pred = mc::when(ta::var_eq(probe.pending, 1));
   query.clock = probe.clock;
   query.limit = search_limit;
+  // The requirement's bound is the first widening candidate: a maximum at or
+  // below it (the verdict's threshold) is settled by one sweep.
+  query.hint = req.bound_ms;
   const mc::MaxClockResult r = session.max_clock_value(query);
   if (cache != nullptr) session.store(*cache);
 
@@ -182,11 +185,12 @@ PimBatchVerification verify_pim_requirements_in_session(
   const mc::SessionStats before = session.stats();
   std::vector<mc::BoundQuery> queries;
   queries.reserve(reqs.size());
-  for (const RequirementProbe& probe : probes) {
+  for (std::size_t i = 0; i < probes.size(); ++i) {
     mc::BoundQuery query;
-    query.pred = mc::when(ta::var_eq(probe.pending, 1));
-    query.clock = probe.clock;
+    query.pred = mc::when(ta::var_eq(probes[i].pending, 1));
+    query.clock = probes[i].clock;
     query.limit = search_limit;
+    query.hint = reqs[i].bound_ms;
     queries.push_back(std::move(query));
   }
   const std::vector<mc::MaxClockResult> answers = session.max_clock_values(queries);

@@ -159,32 +159,33 @@ bool Dbm::intersects(int i, int j, raw_t bound) const {
   return add(bound, at(j, i)) >= kLeZero;
 }
 
-void Dbm::extrapolate_max_bounds(const std::vector<std::int32_t>& max_consts) {
-  PSV_ASSERT(static_cast<int>(max_consts.size()) == dim_, "max constant vector arity mismatch");
-  PSV_ASSERT(max_consts[0] == 0, "reference clock max constant must be 0");
+void Dbm::extrapolate_lu(const std::vector<std::int32_t>& lower,
+                         const std::vector<std::int32_t>& upper) {
+  PSV_ASSERT(static_cast<int>(lower.size()) == dim_ && static_cast<int>(upper.size()) == dim_,
+             "LU constant vector arity mismatch");
+  PSV_ASSERT(lower[0] == 0 && upper[0] == 0, "reference clock LU constants must be 0");
   if (empty_) return;
-  // Negative max constants (clock never compared against) clamp to 0; the
-  // zero bound is kept so clock non-negativity is never relaxed.
-  auto eff = [&](int k) { return std::max<std::int32_t>(0, max_consts[static_cast<std::size_t>(k)]); };
+  // Row 0 holds the lower bounds every rule reads, so it is rewritten last:
+  // the other rows still see the original matrix.
+  const std::size_t n = static_cast<std::size_t>(dim_);
+  raw_t* const d = data_.data();
+  auto exceeds = [d](std::size_t k, std::int32_t c) { return -bound_value(d[k]) > c; };
   bool changed = false;
-  for (int i = 0; i < dim_; ++i) {
-    for (int j = 0; j < dim_; ++j) {
-      if (i == j) continue;
-      const raw_t b = at(i, j);
-      if (is_inf(b)) continue;
-      if (bound_value(b) > eff(i)) {
-        if (i != 0) {
-          set(i, j, kInf);
-          changed = true;
-        }
-      } else if (-bound_value(b) > eff(j)) {
-        const raw_t relaxed = bound_lt(-eff(j));
-        if (relaxed > b) {
-          set(i, j, relaxed);
-          changed = true;
-        }
+  for (std::size_t i = n; i-- > 1;) {
+    raw_t* const row = d + i * n;
+    const bool row_above_l = exceeds(i, lower[i]);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i || is_inf(row[j])) continue;
+      if (row_above_l || bound_value(row[j]) > lower[i] || exceeds(j, upper[j])) {
+        row[j] = kInf;
+        changed = true;
       }
     }
+  }
+  for (std::size_t j = 1; j < n; ++j) {
+    if (!exceeds(j, upper[j])) continue;
+    d[j] = upper[j] >= 0 ? bound_lt(-upper[j]) : kLeZero;
+    changed = true;
   }
   if (changed) canonicalize();
 }

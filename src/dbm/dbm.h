@@ -4,7 +4,9 @@
 // A Dbm over n clocks is an (n+1)x(n+1) matrix D where entry (i,j) bounds
 // x_i - x_j and index 0 is the constant-zero reference clock. A canonical
 // (all-pairs-shortest-path closed) non-empty Dbm uniquely represents a
-// convex clock zone.
+// convex clock zone. The model checker keeps zones finite in number with
+// Extra_LU⁺ extrapolation (extrapolate_lu), under per-clock lower/upper
+// comparison constants built by mc::SuccGen.
 #pragma once
 
 #include <string>
@@ -66,11 +68,21 @@ class Dbm {
   /// True iff intersecting with x_i - x_j ≺ bound would be non-empty.
   bool intersects(int i, int j, raw_t bound) const;
 
-  /// Classic maximal-constants extrapolation (ExtraM). `max_consts[i]` is
-  /// the largest constant compared against clock i anywhere in the model or
-  /// query; index 0 must be 0. A negative max constant means the clock is
-  /// never compared and is abstracted completely. Re-canonicalizes.
-  void extrapolate_max_bounds(const std::vector<std::int32_t>& max_consts);
+  /// Extra_LU⁺ extrapolation (Behrmann, Bouyer, Larsen & Pelánek, STTT
+  /// 2006). `lower[i]` is the largest constant clock i is compared against
+  /// from below (x > c, x >= c), `upper[i]` the largest from above (x < c,
+  /// x <= c); index 0 must be 0 in both, and a negative entry means no such
+  /// comparison exists. Every rule reads the original matrix:
+  ///   D_ij := inf        when D_ij > (<=, L_i) or the lower bound of x_i
+  ///                      exceeds L_i;
+  ///   D_ij := inf        when the lower bound of x_j exceeds U_j (i != 0);
+  ///   D_0j := (<, -U_j)  when the lower bound of x_j exceeds U_j ((<=, 0)
+  ///                      when U_j < 0).
+  /// Entries whose constants stay within L and U are kept exactly. The
+  /// result includes the zone and is simulated by it (LU-simulation), so
+  /// location reachability is preserved. Re-canonicalizes.
+  void extrapolate_lu(const std::vector<std::int32_t>& lower,
+                      const std::vector<std::int32_t>& upper);
 
   /// Upper bound entry of a clock (D[x][0]); kInf when unbounded above.
   raw_t upper(int clock) const { return at(clock, 0); }

@@ -65,7 +65,11 @@ namespace psv::mc {
 /// (every C1–C4 flag comes from the shared sweep, which a timelock no
 /// longer ends), and a persisted flag sweep's deadlock statistics are the
 /// full sweep's.
-inline constexpr std::uint32_t kArtifactFormatVersion = 9;
+/// Version 10: zones are extrapolated with Extra_LU⁺, so every stored zone,
+/// bound-query statistic and critical-trace zone changed, and the passed
+/// store carries the L and U constant vectors instead of one max-constant
+/// vector.
+inline constexpr std::uint32_t kArtifactFormatVersion = 10;
 
 /// Content-addressed cache key; hex() names the artifact file.
 struct ArtifactKey {

@@ -169,18 +169,12 @@ void Reachability::generate_wave() {
       }
       out.push_back(std::move(gs));
     }
-    if (out.empty()) {
-      // Stored zones are delay-closed, so "no action successor" means no
-      // action can ever be taken from any valuation in this state. The
-      // state is a timelock when urgency/committedness or an invariant
-      // also prevents time divergence.
-      bool time_blocked = gen_.time_frozen(current.locs);
-      if (!time_blocked) {
-        for (int c = 1; c <= current.zone.num_clocks(); ++c)
-          time_blocked = time_blocked || !dbm::is_inf(current.zone.upper(c));
-      }
-      wave_blocked_[i] = time_blocked ? 1 : 0;
-    }
+    // Stored zones are delay-closed, so "no action successor" means no
+    // action can ever be taken from any valuation in this state; it is a
+    // timelock when the locations also stop time. LU-simulation preserves
+    // whether a zone has a successor, and the locations decide whether time
+    // is bounded, so the stored (abstracted) zone is not consulted.
+    if (out.empty()) wave_blocked_[i] = gen_.time_bounded(current.locs) ? 1 : 0;
   });
 }
 
@@ -325,6 +319,14 @@ DeadlockResult Reachability::find_deadlock(const Visitor& visit) {
   return result;
 }
 
+std::vector<const SymState*> Reachability::live_states() const {
+  std::vector<const SymState*> live;
+  for (const Shard& shard : shards_)
+    for (const auto& [key, bucket] : shard.passed)
+      for (const LiveZone& zone : bucket) live.push_back(&shard.arena[zone.index].state);
+  return live;
+}
+
 void Reachability::enable_capture() {
   capture_ = true;
   gen_.set_capture(true);
@@ -348,8 +350,9 @@ bool Reachability::seed_from_store(const Visitor& visit) {
     if (anc.edge_digests[a].size() != new_edge_digests[a].size()) return false;
     if (anc.inv_digests[a].size() != new_inv_digests[a].size()) return false;
   }
-  const std::vector<std::int32_t>& new_consts = gen_.max_consts();
-  if (anc.max_consts.size() != new_consts.size()) return false;
+  const std::vector<std::int32_t>& new_lower = gen_.lower_consts();
+  const std::vector<std::int32_t>& new_upper = gen_.upper_consts();
+  if (anc.lower.size() != new_lower.size() || anc.upper.size() != new_upper.size()) return false;
   SymState init = gen_.initial();
   if (anc.entries.front().locs != init.locs || anc.entries.front().vars != init.vars)
     return false;
@@ -398,11 +401,13 @@ bool Reachability::seed_from_store(const Visitor& visit) {
         calm[a][static_cast<std::size_t>(edges[e].src)] = 0;
     }
   }
-  bool consts_equal = true;
+  // Larger L and U constants only refine Extra_LU⁺ (entry-wise), so a
+  // successor extrapolated under nondecreasing constants stays within the
+  // one the ancestor recorded.
+  const bool consts_equal = new_lower == anc.lower && new_upper == anc.upper;
   bool consts_nondecreasing = true;
-  for (std::size_t c = 0; c < new_consts.size(); ++c) {
-    if (new_consts[c] != anc.max_consts[c]) consts_equal = false;
-    if (new_consts[c] < anc.max_consts[c]) consts_nondecreasing = false;
+  for (std::size_t c = 0; c < new_lower.size(); ++c) {
+    if (new_lower[c] < anc.lower[c] || new_upper[c] < anc.upper[c]) consts_nondecreasing = false;
   }
 
   // --- Import pass, in ordinal (deterministic exploration) order: derive
@@ -552,7 +557,8 @@ PassedStoreExport Reachability::build_export() const {
   PassedStoreExport out;
   out.edge_digests = edge_timing_digests(net_);
   out.inv_digests = invariant_digests(net_);
-  out.max_consts = gen_.max_consts();
+  out.lower = gen_.lower_consts();
+  out.upper = gen_.upper_consts();
   out.num_clocks = net_.num_clocks();
   out.num_vars = net_.num_vars();
   out.num_automata = net_.num_automata();

@@ -30,8 +30,10 @@
 //   * goal search (reachable) stops at the first live frontier state, in
 //     exploration order, that satisfies the goal, before that wave expands;
 //   * every run records, in rank order, the first timelocked and the first
-//     quiescent live state (a successor-free zone is checked for blocked
-//     time; a zone covered by another with the same discrete state is never
+//     quiescent live state (a successor-free zone is a timelock when its
+//     locations bound time, SuccGen::time_bounded — never read off the
+//     Extra_LU⁺-abstracted zone, which may have lost an invariant's bound;
+//     a zone covered by another with the same discrete state is never
 //     checked), so deadlock search (find_deadlock) is the full sweep itself
 //     and one exploration answers the deadlock question, the C1–C4 flags
 //     and the bound maxima together.
@@ -102,11 +104,12 @@ ReachResult reachable(const ta::Network& net, const StateFormula& goal, ExploreO
 /// Breadth-first symbolic reachability over a network.
 ///
 /// The engine owns nothing of the network; it may be constructed per query.
-/// Query clock constants are merged into the extrapolation constants so each
-/// query remains exact for the constraints it mentions.
+/// Query clock constants go into both the L and the U constants of the
+/// Extra_LU⁺ extrapolation (SuccGen), so each query remains exact for the
+/// constraints it mentions.
 class Reachability {
  public:
-  /// `extra_clock_consts` (entry per clock, -1 = none) extends the
+  /// `extra_clock_consts` (entry per clock, -1 = none) extends the L and U
   /// extrapolation constants beyond what the network and the goal formula
   /// mention — the sweep bound engine uses this to keep a probe clock's
   /// upper bounds exact up to its current widening candidate.
@@ -160,6 +163,13 @@ class Reachability {
   /// frontier. Falls back to a cold start (silently) when the store does
   /// not match. The pointee must outlive the run.
   void set_ancestor(const PassedStoreExport* ancestor) { ancestor_ = ancestor; }
+
+  /// The live passed list of the last run: every stored zone that no larger
+  /// zone with the same discrete state evicted, in no particular order.
+  /// Pointers stay valid until the engine dies. An independent checker
+  /// (tests/support/certificate.h) certifies a run's verdicts from this
+  /// list alone.
+  std::vector<const SymState*> live_states() const;
 
   /// The store exported by the last capture-mode explore_all /
   /// find_deadlock run; empty when capture was off.

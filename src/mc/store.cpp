@@ -7,7 +7,8 @@ namespace psv::mc {
 namespace {
 
 /// Version 2: entries no longer carry a rendered transition label.
-constexpr std::uint32_t kStorePayloadVersion = 2;
+/// Version 3: the L and U extrapolation constants replace the max constants.
+constexpr std::uint32_t kStorePayloadVersion = 3;
 
 void hash_cc(Hasher128& h, const ta::ClockConstraint& cc) {
   h.i32(cc.clock);
@@ -93,8 +94,10 @@ void write_passed_store(ByteWriter& out, const PassedStoreExport& store) {
   out.i32(store.num_vars);
   out.i32(store.num_automata);
 
-  out.u64(store.max_consts.size());
-  for (std::int32_t c : store.max_consts) out.i32(c);
+  for (const std::vector<std::int32_t>* consts : {&store.lower, &store.upper}) {
+    out.u64(consts->size());
+    for (std::int32_t c : *consts) out.i32(c);
+  }
 
   auto write_digest_table = [&out](const std::vector<std::vector<Digest128>>& table) {
     out.u64(table.size());
@@ -137,12 +140,14 @@ PassedStoreExport read_passed_store(ByteReader& in) {
                  store.num_clocks >= 0 && store.num_vars >= 0 && store.num_automata > 0,
                  "passed-store payload header out of range");
 
-  const std::size_t num_consts = in.length(4);
-  PSV_REQUIRE_AS(ErrorCode::kProtocol,
-                 num_consts == static_cast<std::size_t>(store.num_clocks) + 1,
-                 "passed-store extrapolation-constant arity mismatch");
-  store.max_consts.reserve(num_consts);
-  for (std::size_t i = 0; i < num_consts; ++i) store.max_consts.push_back(in.i32());
+  for (std::vector<std::int32_t>* consts : {&store.lower, &store.upper}) {
+    const std::size_t num_consts = in.length(4);
+    PSV_REQUIRE_AS(ErrorCode::kProtocol,
+                   num_consts == static_cast<std::size_t>(store.num_clocks) + 1,
+                   "passed-store extrapolation-constant arity mismatch");
+    consts->reserve(num_consts);
+    for (std::size_t i = 0; i < num_consts; ++i) consts->push_back(in.i32());
+  }
 
   auto read_digest_table = [&in, &store]() {
     std::vector<std::vector<Digest128>> table;

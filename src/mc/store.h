@@ -13,8 +13,8 @@
 // are *closed* and never expanded again; everything else falls back to
 // normal exploration. Results are bit-identical to a cold run.
 //
-// The serialized payload travels inside VerificationArtifact (format v5,
-// mc/artifact.h) and is keyed there by the network's skeleton digest.
+// The serialized payload travels inside VerificationArtifact (mc/artifact.h)
+// and is keyed there by the network's skeleton digest.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +60,11 @@ struct PassedStoreExport {
   std::vector<std::vector<Digest128>> edge_digests;
   /// Per-location invariant digest, raw order: [automaton][location].
   std::vector<std::vector<Digest128>> inv_digests;
-  /// Effective extrapolation constants of the exporting run (network merged
-  /// with query extras), indexed by DBM clock index (0..num_clocks).
-  std::vector<std::int32_t> max_consts;
+  /// Effective Extra_LU⁺ constants of the exporting run (network merged
+  /// with query extras; SuccGen::lower_consts / upper_consts), indexed by
+  /// DBM clock index (0..num_clocks).
+  std::vector<std::int32_t> lower;
+  std::vector<std::int32_t> upper;
   std::int32_t num_clocks = 0;
   std::int32_t num_vars = 0;
   std::int32_t num_automata = 0;

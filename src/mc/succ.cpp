@@ -13,17 +13,43 @@ SuccGen::SuccGen(const ta::Network& net, std::vector<std::int32_t> extra_clock_c
     : net_(net) {
   ta::validate_or_throw(net);
 
-  // Extrapolation constants: network constants merged with query constants,
-  // shifted by one for the DBM reference clock at index 0.
-  std::vector<std::int32_t> from_net = ta::clock_max_constants(net);
-  if (!extra_clock_consts.empty()) {
-    PSV_REQUIRE_AS(::psv::ErrorCode::kVerify, extra_clock_consts.size() == from_net.size(),
-                "extra clock constant vector arity mismatch");
-    for (std::size_t i = 0; i < from_net.size(); ++i)
-      from_net[i] = std::max(from_net[i], extra_clock_consts[i]);
+  // Extra_LU constants, indexed by DBM clock index (0 is the reference
+  // clock): L from comparisons bounding a clock from below, U from those
+  // bounding it from above (invariants are upper bounds), both from
+  // equalities, reset values and every query constant.
+  const std::size_t dim = static_cast<std::size_t>(net.num_clocks()) + 1;
+  lower_.assign(dim, -1);
+  upper_.assign(dim, -1);
+  lower_[0] = upper_[0] = 0;
+  auto bump = [](std::vector<std::int32_t>& consts, ta::ClockId c, std::int32_t v) {
+    std::int32_t& cell = consts[static_cast<std::size_t>(c) + 1];
+    cell = std::max(cell, v);
+  };
+  auto bump_cc = [&](const ta::ClockConstraint& cc) {
+    const bool from_below = cc.op != ta::CmpOp::kLt && cc.op != ta::CmpOp::kLe;
+    const bool from_above = cc.op != ta::CmpOp::kGt && cc.op != ta::CmpOp::kGe;
+    if (from_below) bump(lower_, cc.clock, cc.bound);
+    if (from_above) bump(upper_, cc.clock, cc.bound);
+  };
+  for (const ta::Automaton& aut : net.automata()) {
+    for (const ta::Location& loc : aut.locations())
+      for (const ta::ClockConstraint& cc : loc.invariant) bump_cc(cc);
+    for (const ta::Edge& e : aut.edges()) {
+      for (const ta::ClockConstraint& cc : e.guard.clocks) bump_cc(cc);
+      for (const ta::ClockReset& r : e.update.resets) {
+        bump(lower_, r.clock, r.value);
+        bump(upper_, r.clock, r.value);
+      }
+    }
   }
-  max_consts_.assign(static_cast<std::size_t>(net.num_clocks()) + 1, 0);
-  for (std::size_t i = 0; i < from_net.size(); ++i) max_consts_[i + 1] = from_net[i];
+  if (!extra_clock_consts.empty()) {
+    PSV_REQUIRE_AS(::psv::ErrorCode::kVerify, extra_clock_consts.size() + 1 == dim,
+                   "extra clock constant vector arity mismatch");
+    for (std::size_t c = 0; c + 1 < dim; ++c) {
+      bump(lower_, static_cast<ta::ClockId>(c), extra_clock_consts[c]);
+      bump(upper_, static_cast<ta::ClockId>(c), extra_clock_consts[c]);
+    }
+  }
 
   send_edges_.resize(net.channels().size());
   recv_edges_.resize(net.channels().size());
@@ -124,6 +150,16 @@ bool SuccGen::time_frozen(const std::vector<ta::LocId>& locs) const {
   return false;
 }
 
+bool SuccGen::time_bounded(const std::vector<ta::LocId>& locs) const {
+  if (time_frozen(locs)) return true;
+  for (ta::AutomatonId a = 0; a < net_.num_automata(); ++a) {
+    for (const ta::ClockConstraint& cc :
+         net_.automaton(a).location(locs[static_cast<std::size_t>(a)]).invariant)
+      if (cc.op == ta::CmpOp::kLt || cc.op == ta::CmpOp::kLe) return true;
+  }
+  return false;
+}
+
 bool SuccGen::finalize(SymState& state, Dbm* pre, bool* pre_differs) const {
   if (!apply_invariants(state.zone, state.locs)) return false;
   if (state.zone.empty()) return false;
@@ -133,7 +169,7 @@ bool SuccGen::finalize(SymState& state, Dbm* pre, bool* pre_differs) const {
   }
   if (state.zone.empty()) return false;
   if (pre != nullptr) *pre = state.zone;
-  state.zone.extrapolate_max_bounds(max_consts_);
+  extrapolate(state.zone);
   if (pre != nullptr && pre_differs != nullptr) *pre_differs = !(*pre == state.zone);
   return !state.zone.empty();
 }

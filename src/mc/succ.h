@@ -1,7 +1,9 @@
 // Symbolic successor generation for networks of timed automata.
 //
 // Implements the standard UPPAAL-style symbolic semantics:
-//   * states carry delay-closed, invariant-constrained, extrapolated zones;
+//   * states carry delay-closed, invariant-constrained zones, extrapolated
+//     with Extra_LU⁺ (dbm::Dbm::extrapolate_lu) under per-clock L/U
+//     constants the generator builds from the network and the query;
 //   * internal edges, binary rendezvous and broadcast synchronizations;
 //   * committed locations take network-wide priority and block delay;
 //   * urgent locations block delay.
@@ -46,8 +48,11 @@ struct SymSuccessor {
 /// Generates initial states and successors for a validated network.
 class SuccGen {
  public:
-  /// `extra_clock_consts` lets queries extend the extrapolation constants
-  /// (entry per clock, -1 = no additional constraint). Pass {} for none.
+  /// Builds the Extra_LU⁺ constants: L takes the constants of lower-bound
+  /// comparisons (`>`, `>=` guards), U those of upper-bound ones (`<`, `<=`
+  /// guards and invariants); equalities, reset values and every entry of
+  /// `extra_clock_consts` (query constants: one entry per clock, -1 = none;
+  /// pass {} for none) go into both.
   SuccGen(const ta::Network& net, std::vector<std::int32_t> extra_clock_consts);
 
   const ta::Network& net() const { return net_; }
@@ -60,6 +65,13 @@ class SuccGen {
 
   /// True iff some automaton rests in an urgent or committed location.
   bool time_frozen(const std::vector<ta::LocId>& locs) const;
+
+  /// True iff time cannot diverge from any zone at `locs`: time is frozen,
+  /// or an active invariant has an upper-bound conjunct. Stored zones are
+  /// delay-closed, so this is exactly "the zone has a finite clock upper
+  /// bound" before extrapolation — read off the locations because Extra_LU⁺
+  /// may drop an invariant's bound from the stored zone.
+  bool time_bounded(const std::vector<ta::LocId>& locs) const;
 
   /// Record pre-extrapolation zones on every generated successor
   /// (store-export mode). Off by default; the cold exploration path pays
@@ -80,15 +92,17 @@ class SuccGen {
 
   /// Apply this generator's extrapolation to a zone (for re-extrapolating
   /// an imported pre-extrapolation zone under new constants).
-  void extrapolate(dbm::Dbm& zone) const { zone.extrapolate_max_bounds(max_consts_); }
+  void extrapolate(dbm::Dbm& zone) const { zone.extrapolate_lu(lower_, upper_); }
 
   /// Printable label of a transition, rendered from THIS network's names:
   /// "A.l1->l2[c!] ~ B.l3->l4[c?]" (participants in firing order); empty for
   /// no edges (the initial state of a trace).
   std::string label(const std::vector<EdgeRef>& edges) const;
 
-  /// Effective extrapolation constants, indexed by DBM clock index (0..n).
-  const std::vector<std::int32_t>& max_consts() const { return max_consts_; }
+  /// Effective Extra_LU⁺ constants, indexed by DBM clock index (0..n);
+  /// -1 marks a clock never compared from that side.
+  const std::vector<std::int32_t>& lower_consts() const { return lower_; }
+  const std::vector<std::int32_t>& upper_consts() const { return upper_; }
 
  private:
   const ta::Edge& edge(const EdgeRef& ref) const;
@@ -134,7 +148,8 @@ class SuccGen {
   std::string edge_label(const EdgeRef& ref) const;
 
   const ta::Network& net_;
-  std::vector<std::int32_t> max_consts_;  // indexed by DBM clock index (0..n)
+  std::vector<std::int32_t> lower_;  // L, indexed by DBM clock index (0..n)
+  std::vector<std::int32_t> upper_;  // U, indexed by DBM clock index (0..n)
   bool capture_ = false;
   // Edge indices grouped for fast lookup.
   std::vector<EdgeRef> internal_edges_;

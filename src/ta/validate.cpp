@@ -1,6 +1,5 @@
 #include "ta/validate.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "util/error.h"
@@ -130,24 +129,6 @@ void validate_or_throw(const Network& net) {
   ValidationReport report = validate(net);
   if (!report.ok())
     throw Error("network '" + net.name() + "' failed validation:\n" + report.to_string());
-}
-
-std::vector<std::int32_t> clock_max_constants(const Network& net) {
-  std::vector<std::int32_t> max_consts(static_cast<std::size_t>(net.num_clocks()), -1);
-  auto bump = [&](ClockId c, std::int32_t v) {
-    if (c >= 0 && c < net.num_clocks())
-      max_consts[static_cast<std::size_t>(c)] =
-          std::max(max_consts[static_cast<std::size_t>(c)], v);
-  };
-  for (const Automaton& aut : net.automata()) {
-    for (const Location& loc : aut.locations())
-      for (const ClockConstraint& cc : loc.invariant) bump(cc.clock, cc.bound);
-    for (const Edge& e : aut.edges()) {
-      for (const ClockConstraint& cc : e.guard.clocks) bump(cc.clock, cc.bound);
-      for (const ClockReset& r : e.update.resets) bump(r.clock, r.value);
-    }
-  }
-  return max_consts;
 }
 
 }  // namespace psv::ta

@@ -35,9 +35,4 @@ ValidationReport validate(const Network& net);
 /// Validate and throw psv::Error listing all problems if any check failed.
 void validate_or_throw(const Network& net);
 
-/// Largest constant each clock is compared against across all guards,
-/// invariants and resets (used for DBM extrapolation). Returns one entry per
-/// declared clock; -1 when the clock is never compared.
-std::vector<std::int32_t> clock_max_constants(const Network& net);
-
 }  // namespace psv::ta

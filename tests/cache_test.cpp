@@ -97,7 +97,8 @@ mc::VerificationArtifact sample_artifact() {
   store.num_clocks = 1;
   store.num_vars = 1;
   store.num_automata = 1;
-  store.max_consts = {0, 30};
+  store.lower = {0, 30};
+  store.upper = {0, 45};
   store.edge_digests = {{Digest128{0x1, 0x2}}};
   store.inv_digests = {{Digest128{0x3, 0x4}}};
   mc::StoreEntry initial;
@@ -157,7 +158,8 @@ void expect_artifacts_equal(const mc::VerificationArtifact& a, const mc::Verific
     EXPECT_EQ(a.store->num_clocks, b.store->num_clocks);
     EXPECT_EQ(a.store->num_vars, b.store->num_vars);
     EXPECT_EQ(a.store->num_automata, b.store->num_automata);
-    EXPECT_EQ(a.store->max_consts, b.store->max_consts);
+    EXPECT_EQ(a.store->lower, b.store->lower);
+    EXPECT_EQ(a.store->upper, b.store->upper);
     EXPECT_EQ(a.store->edge_digests, b.store->edge_digests);
     EXPECT_EQ(a.store->inv_digests, b.store->inv_digests);
     ASSERT_EQ(a.store->entries.size(), b.store->entries.size());

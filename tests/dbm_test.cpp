@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <random>
 #include <tuple>
 #include <vector>
@@ -145,35 +147,72 @@ TEST(Dbm, IntersectsChecksSatisfiability) {
   EXPECT_FALSE(d.intersects(0, 1, bound_le(-6))); // x >= 6 infeasible
 }
 
-TEST(Dbm, ExtrapolationAbstractsLargeValues) {
-  Dbm d = Dbm::zero(1);
-  d.up();
-  ASSERT_TRUE(d.constrain(0, 1, bound_le(-500)));  // x >= 500
-  ASSERT_TRUE(d.constrain(1, 0, bound_le(800)));   // x <= 800
-  d.extrapolate_max_bounds({0, 100});
-  // Above the max constant 100 everything is indistinguishable:
-  // upper bound gone, lower bound relaxed to > 100.
-  EXPECT_TRUE(is_inf(d.upper(1)));
-  EXPECT_EQ(d.lower(1), bound_lt(-100));
-}
+// Extra_LU⁺ rules, one at a time. Clocks x (1) and y (2); L and U are
+// indexed by DBM clock index, 0 being the reference clock.
 
-TEST(Dbm, ExtrapolationKeepsSmallValuesExact) {
-  Dbm d = Dbm::zero(1);
-  d.up();
-  ASSERT_TRUE(d.constrain(1, 0, bound_le(50)));
-  Dbm before = d;
-  d.extrapolate_max_bounds({0, 100});
-  EXPECT_TRUE(d == before);
-}
-
-TEST(Dbm, ExtrapolationIsAnUpperApproximation) {
+TEST(Dbm, LuDropsUpperBoundsAboveL) {
+  // 0 <= x = y <= 50. L = 10 < 50 for both: the upper bounds go (rule 1);
+  // the difference x - y = 0 and the lower bounds stay.
   Dbm d = Dbm::zero(2);
   d.up();
-  ASSERT_TRUE(d.constrain(1, 0, bound_le(300)));
-  ASSERT_TRUE(d.constrain(0, 2, bound_le(-150)));
-  Dbm before = d;
-  d.extrapolate_max_bounds({0, 100, 100});
-  EXPECT_TRUE(d.includes(before));
+  ASSERT_TRUE(d.constrain(1, 0, bound_le(50)));
+  Dbm one_side = d;
+  d.extrapolate_lu({0, 10, 10}, {0, 100, 100});
+  EXPECT_TRUE(is_inf(d.upper(1)));
+  EXPECT_TRUE(is_inf(d.upper(2)));
+  EXPECT_EQ(d.at(1, 2), bound_le(0));
+  EXPECT_EQ(d.at(2, 1), bound_le(0));
+  EXPECT_EQ(d.lower(1), bound_le(0));
+  // Rules read the original matrix and the result is re-canonicalized: with
+  // only L_x small, y <= 50 and x - y <= 0 bring x <= 50 back.
+  one_side.extrapolate_lu({0, 10, 100}, {0, 100, 100});
+  EXPECT_EQ(one_side.upper(1), bound_le(50));
+}
+
+TEST(Dbm, LuFreesTheRowOfAClockAboveL) {
+  // x >= 20 (above L_x = 10): every bound x - z goes (rule 2), even the
+  // upper bound x <= 30 that lies below U_x.
+  Dbm d = Dbm::zero(2);
+  d.up();
+  ASSERT_TRUE(d.constrain(0, 1, bound_le(-20)));
+  ASSERT_TRUE(d.constrain(1, 0, bound_le(30)));
+  d.extrapolate_lu({0, 10, 100}, {0, 100, 100});
+  EXPECT_TRUE(is_inf(d.upper(1)));
+  EXPECT_TRUE(is_inf(d.at(1, 2)));
+  EXPECT_EQ(d.lower(1), bound_le(-20));  // row 0 keeps x >= 20 (20 <= U_x)
+}
+
+TEST(Dbm, LuRelaxesLowerBoundsAboveU) {
+  // y >= 40 with U_y = 25: bounds z - y go (rule 3) and y's lower bound
+  // relaxes to y > 25 (rule 4).
+  Dbm d = Dbm::zero(2);
+  d.up();
+  ASSERT_TRUE(d.constrain(0, 2, bound_le(-40)));
+  ASSERT_TRUE(d.constrain(1, 2, bound_le(5)));  // x - y <= 5
+  d.extrapolate_lu({0, 100, 100}, {0, 100, 25});
+  EXPECT_EQ(d.lower(2), bound_lt(-25));
+  EXPECT_TRUE(is_inf(d.at(1, 2)));
+}
+
+TEST(Dbm, LuAbstractsUncomparedClocksCompletely) {
+  // A clock with no comparison on either side (-1) keeps only y >= 0.
+  Dbm d = Dbm::zero(2);
+  d.up();
+  ASSERT_TRUE(d.constrain(0, 2, bound_le(-40)));
+  ASSERT_TRUE(d.constrain(2, 0, bound_le(60)));
+  d.extrapolate_lu({0, 100, -1}, {0, 100, -1});
+  EXPECT_TRUE(is_inf(d.upper(2)));
+  EXPECT_EQ(d.lower(2), bound_le(0));
+}
+
+TEST(Dbm, LuKeepsZonesWithinTheConstantsExact) {
+  Dbm d = Dbm::zero(2);
+  d.up();
+  ASSERT_TRUE(d.constrain(1, 0, bound_le(50)));
+  ASSERT_TRUE(d.constrain(0, 2, bound_lt(-3)));
+  const Dbm before = d;
+  d.extrapolate_lu({0, 50, 50}, {0, 50, 50});
+  EXPECT_TRUE(d == before);
 }
 
 TEST(Dbm, ToStringRendersConstraints) {
@@ -337,6 +376,71 @@ TEST_P(RandomZoneTest, CanonicalFormIsIdempotent) {
 
 Relation expected_relation(const Dbm& a, const Dbm& b) {
   return static_cast<Relation>((b.includes(a) ? 1u : 0u) | (a.includes(b) ? 2u : 0u));
+}
+
+// Random L/U constants in [-1, 2 * kMaxConst]: -1 marks a clock never
+// compared from that side.
+std::pair<std::vector<std::int32_t>, std::vector<std::int32_t>> random_lu(std::mt19937& gen) {
+  std::uniform_int_distribution<std::int32_t> dist(-1, 2 * kMaxConst);
+  std::vector<std::int32_t> lower(kClocks + 1, 0);
+  std::vector<std::int32_t> upper(kClocks + 1, 0);
+  for (int c = 1; c <= kClocks; ++c) {
+    lower[static_cast<std::size_t>(c)] = dist(gen);
+    upper[static_cast<std::size_t>(c)] = dist(gen);
+  }
+  return {lower, upper};
+}
+
+// The LU properties draw 20 zones per seed (random_zone often empties).
+TEST_P(RandomZoneTest, LuIncludesTheZoneAndKeepsUntouchedEntries) {
+  std::mt19937 gen(static_cast<unsigned>(GetParam() + 6000));
+  for (int draw = 0; draw < 20; ++draw) {
+    const Dbm d = random_zone(gen);
+    if (d.empty()) continue;
+    const auto [lower, upper] = random_lu(gen);
+    Dbm lu = d;
+    lu.extrapolate_lu(lower, upper);
+    ASSERT_FALSE(lu.empty());
+    EXPECT_TRUE(lu.includes(d));
+    for (const auto& pt : all_points(kMaxConst)) {
+      if (contains_point(d, pt)) {
+        EXPECT_TRUE(contains_point(lu, pt));
+      }
+    }
+    // Exactness below L/U: an entry no rule touches keeps its exact bound.
+    auto above = [&d](int k, const std::vector<std::int32_t>& c) {
+      return -bound_value(d.lower(k)) > c[static_cast<std::size_t>(k)];
+    };
+    for (int i = 0; i < d.dim(); ++i) {
+      for (int j = 0; j < d.dim(); ++j) {
+        if (i == j || is_inf(d.at(i, j))) continue;
+        const bool rule_12 =
+            i != 0 && (bound_value(d.at(i, j)) > lower[static_cast<std::size_t>(i)] ||
+                       above(i, lower));
+        if (!rule_12 && !above(j, upper)) {
+          EXPECT_EQ(lu.at(i, j), d.at(i, j)) << "entry (" << i << "," << j << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST_P(RandomZoneTest, LuIsExactWhenConstantsCoverTheZone) {
+  std::mt19937 gen(static_cast<unsigned>(GetParam() + 7000));
+  for (int draw = 0; draw < 20; ++draw) {
+    const Dbm d = random_zone(gen);
+    if (d.empty()) continue;
+    // L = U = the largest magnitude of any finite entry.
+    std::int32_t largest = 0;
+    for (int i = 0; i < d.dim(); ++i)
+      for (int j = 0; j < d.dim(); ++j)
+        if (!is_inf(d.at(i, j))) largest = std::max(largest, std::abs(bound_value(d.at(i, j))));
+    std::vector<std::int32_t> consts(kClocks + 1, largest);
+    consts[0] = 0;
+    Dbm lu = d;
+    lu.extrapolate_lu(consts, consts);
+    EXPECT_TRUE(lu == d);
+  }
 }
 
 TEST_P(RandomZoneTest, RelationMatchesIncludesBothWays) {

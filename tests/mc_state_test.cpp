@@ -125,6 +125,59 @@ TEST(StateFormula, FormulaClockConstants) {
   EXPECT_EQ(none[0], -1);
 }
 
+// One automaton whose clocks are compared from one side only, from both,
+// or never: L0 --[x >= 250 && y < 30, y := 7]--> L1, invariant x <= 100 on
+// L0.
+Network one_sided_net() {
+  Network net("sides");
+  const ClockId x = net.add_clock("x");
+  const ClockId y = net.add_clock("y");
+  net.add_clock("z");
+  Automaton a("A");
+  const LocId l0 = a.add_location("L0", LocKind::kNormal, {cc_le(x, 100)});
+  const LocId l1 = a.add_location("L1");
+  Edge e;
+  e.src = l0;
+  e.dst = l1;
+  e.guard.clocks.push_back(cc_ge(x, 250));
+  e.guard.clocks.push_back(cc_lt(y, 30));
+  e.update.resets.push_back({y, 7});
+  a.add_edge(e);
+  net.add_automaton(std::move(a));
+  return net;
+}
+
+TEST(SuccGen, LuConstantsSplitComparisonsBySide) {
+  const Network net = one_sided_net();
+  const SuccGen gen(net, {});
+  // Index 0 is the reference clock; then x, y, z.
+  EXPECT_EQ(gen.lower_consts(), (std::vector<std::int32_t>{0, 250, 7, -1}));
+  EXPECT_EQ(gen.upper_consts(), (std::vector<std::int32_t>{0, 100, 30, -1}));
+  // Query constants go into both vectors and never lower an entry.
+  const SuccGen with_query(net, {500, 3, 40});
+  EXPECT_EQ(with_query.lower_consts(), (std::vector<std::int32_t>{0, 500, 7, 40}));
+  EXPECT_EQ(with_query.upper_consts(), (std::vector<std::int32_t>{0, 500, 30, 40}));
+}
+
+TEST(SuccGen, TimeBoundedReadsInvariantsNotZones) {
+  const Network net = one_sided_net();
+  const SuccGen gen(net, {});
+  EXPECT_TRUE(gen.time_bounded({0}));   // x <= 100
+  EXPECT_FALSE(gen.time_bounded({1}));  // no invariant, not urgent
+
+  // Invariant x <= 5 and no lower-bound comparison of x (L_x < U_x):
+  // Extra_LU⁺ drops the invariant's bound from the stored zone, and time is
+  // still bounded.
+  Network inv_only("inv_only");
+  const ClockId x = inv_only.add_clock("x");
+  Automaton a("A");
+  a.add_location("Wait", LocKind::kNormal, {cc_le(x, 5)});
+  inv_only.add_automaton(std::move(a));
+  const SuccGen lu(inv_only, {});
+  EXPECT_TRUE(dbm::is_inf(lu.initial().zone.upper(1)));
+  EXPECT_TRUE(lu.time_bounded({0}));
+}
+
 TEST(SymState, DiscreteHashCoversLocationsAndVariablesOnly) {
   Network net = two_automata_net();
   SymState a = make_state(net, {0, 1}, {2});

@@ -245,30 +245,6 @@ TEST(Validate, NegativeClockResetRejected) {
   EXPECT_FALSE(validate(net).ok());
 }
 
-TEST(ClockMaxConstants, CollectsFromGuardsInvariantsResets) {
-  Network net;
-  const ClockId x = net.add_clock("x");
-  const ClockId y = net.add_clock("y");
-  const ClockId z = net.add_clock("z");
-  Automaton a("A");
-  const LocId l0 = a.add_location("L0", LocKind::kNormal, {cc_le(x, 100)});
-  const LocId l1 = a.add_location("L1");
-  Edge e;
-  e.src = l0;
-  e.dst = l1;
-  e.guard.clocks.push_back(cc_ge(x, 250));
-  e.guard.clocks.push_back(cc_lt(y, 30));
-  e.update.resets.push_back({y, 7});
-  a.add_edge(e);
-  net.add_automaton(std::move(a));
-
-  const auto consts = clock_max_constants(net);
-  ASSERT_EQ(consts.size(), 3u);
-  EXPECT_EQ(consts[static_cast<std::size_t>(x)], 250);
-  EXPECT_EQ(consts[static_cast<std::size_t>(y)], 30);
-  EXPECT_EQ(consts[static_cast<std::size_t>(z)], -1);  // never compared
-}
-
 TEST(Print, GuardAndUpdateStrings) {
   Network net = make_ping_network();
   const Edge& e = net.automaton(0).edges()[0];
