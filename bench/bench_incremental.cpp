@@ -11,14 +11,13 @@
 // first wave from it instead of re-deriving the state space. A fresh
 // Verifier re-verifies the perturbed scheme cold for reference.
 //
-// Gates (exit 1 on violation, 2 on usage/setup errors), each checked at
-// every jobs count in {1, 2, 8}:
+// Gates (exit 1 on violation, 2 on usage/setup errors):
 //
 //   * the warm run must reuse ancestor states (warm_start_states_reused > 0)
 //     and explore >= 5x fewer fresh states than the cold reference in the
 //     scheme stages (fresh = states_explored - warm_seed_expansions);
 //   * bounds, verdicts, constraint checks and slack VALUES are bit-identical
-//     between the warm and cold runs, and across every jobs count. Witness
+//     between the warm and cold runs. Witness
 //     traces and sub-maximal ranked entries are deliberately NOT compared:
 //     warm and cold runs store different — equally valid — covering families
 //     of the same reachable space.
@@ -125,79 +124,59 @@ int main(int argc, char** argv) {
   std::string perturbed = *scheme_source;
   perturbed.replace(at, original_constant.size(), perturbed_constant);
 
-  const auto make_request = [&](const std::string& scheme, unsigned jobs) {
+  const auto make_request = [&](const std::string& scheme) {
     psv::core::SourceRequest source;
     source.model_source = *model_source;
     source.scheme_sources = {scheme};
     source.requirements = {{"REQ1", "BolusReq", "StartInfusion", 500},
                            {"REQ2", "BolusReq", "StopInfusion", 2500}};
-    source.options.explore.jobs = jobs;
     return psv::core::to_verify_request(source);
   };
 
-  const unsigned kJobCounts[] = {1, 2, 8};
   bool reuse_ok = true, ratio_ok = true, values_ok = true;
-  double ratio_min = 0.0;
   Work warm_work{}, cold_work{};
-  std::string reference_values;  // jobs=1 warm values; everything must match
 
   try {
-    for (const unsigned jobs : kJobCounts) {
-      // Baseline (publishes the ancestor), then the perturbed request warm
-      // through the same Verifier; a fresh Verifier runs the cold reference.
-      psv::core::Verifier verifier;
-      verifier.verify(make_request(*scheme_source, jobs));
-      const psv::core::VerifyReport warm = verifier.verify(make_request(perturbed, jobs));
+    // Baseline (publishes the ancestor), then the perturbed request warm
+    // through the same Verifier; a fresh Verifier runs the cold reference.
+    psv::core::Verifier verifier;
+    verifier.verify(make_request(*scheme_source));
+    const psv::core::VerifyReport warm = verifier.verify(make_request(perturbed));
 
-      psv::core::Verifier cold_verifier;
-      const psv::core::VerifyReport cold = cold_verifier.verify(make_request(perturbed, jobs));
+    psv::core::Verifier cold_verifier;
+    const psv::core::VerifyReport cold = cold_verifier.verify(make_request(perturbed));
 
-      const Work w = scheme_work(warm);
-      const Work c = scheme_work(cold);
-      if (jobs == kJobCounts[0]) {
-        warm_work = w;
-        cold_work = c;
-      }
-      if (w.reused == 0) {
-        reuse_ok = false;
-        std::cerr << "ERROR: jobs=" << jobs << ": warm run reused no ancestor states\n";
-      }
-      const double ratio = w.fresh_states > 0
-                               ? static_cast<double>(c.fresh_states) /
-                                     static_cast<double>(w.fresh_states)
-                               : static_cast<double>(c.fresh_states);
-      if (ratio_min == 0.0 || ratio < ratio_min) ratio_min = ratio;
-      if (c.fresh_states < 5 * w.fresh_states) {
-        ratio_ok = false;
-        std::cerr << "ERROR: jobs=" << jobs << ": warm run explored " << w.fresh_states
-                  << " fresh state(s) vs " << c.fresh_states << " cold (" << ratio
-                  << "x, need >= 5x)\n";
-      }
+    warm_work = scheme_work(warm);
+    cold_work = scheme_work(cold);
+    if (warm_work.reused == 0) {
+      reuse_ok = false;
+      std::cerr << "ERROR: warm run reused no ancestor states\n";
+    }
+    if (cold_work.fresh_states < 5 * warm_work.fresh_states) {
+      ratio_ok = false;
+      std::cerr << "ERROR: warm run explored " << warm_work.fresh_states << " fresh state(s) vs "
+                << cold_work.fresh_states << " cold (need >= 5x)\n";
+    }
 
-      const std::string warm_values = value_lines(warm);
-      const std::string cold_values = value_lines(cold);
-      if (reference_values.empty()) reference_values = warm_values;
-      if (warm_values != cold_values || warm_values != reference_values) {
-        values_ok = false;
-        std::cerr << "ERROR: jobs=" << jobs
-                  << ": bounds/verdicts/slack values differ (warm vs cold vs jobs="
-                  << kJobCounts[0] << ")\n"
-                  << "--- warm ---\n" << warm_values << "--- cold ---\n" << cold_values;
-      }
+    const std::string warm_values = value_lines(warm);
+    const std::string cold_values = value_lines(cold);
+    if (warm_values != cold_values) {
+      values_ok = false;
+      std::cerr << "ERROR: bounds/verdicts/slack values differ (warm vs cold)\n"
+                << "--- warm ---\n" << warm_values << "--- cold ---\n" << cold_values;
     }
   } catch (const std::exception& e) {
     std::cerr << "bench_incremental: " << e.what() << "\n";
     return 2;
   }
 
-  const double ratio_first =
-      warm_work.fresh_states > 0
-          ? static_cast<double>(cold_work.fresh_states) /
-                static_cast<double>(warm_work.fresh_states)
-          : static_cast<double>(cold_work.fresh_states);
+  const double ratio = warm_work.fresh_states > 0
+                           ? static_cast<double>(cold_work.fresh_states) /
+                                 static_cast<double>(warm_work.fresh_states)
+                           : static_cast<double>(cold_work.fresh_states);
   std::cerr << "warm: " << warm_work.fresh_states << " fresh state(s), " << warm_work.reused
             << " reused, " << warm_work.revalidated << " revalidated; cold: "
-            << cold_work.fresh_states << " fresh state(s) (" << ratio_first << "x)\n";
+            << cold_work.fresh_states << " fresh state(s) (" << ratio << "x)\n";
 
   std::ostringstream os;
   {
@@ -209,8 +188,7 @@ int main(int argc, char** argv) {
     w.field("warm_start_states_reused", warm_work.reused);
     w.field("states_revalidated", warm_work.revalidated);
     w.field("cold_fresh_states", cold_work.fresh_states);
-    w.field("fresh_state_ratio", ratio_first);
-    w.field("fresh_state_ratio_min_over_jobs", ratio_min);
+    w.field("fresh_state_ratio", ratio);
     w.field("reuse_nonzero", reuse_ok);
     w.field("ratio_at_least_5x", ratio_ok);
     w.field("values_identical", values_ok);

@@ -66,8 +66,9 @@ namespace psv::core {
 /// Search knobs of one synthesis run.
 struct SynthOptions {
   /// Candidate-level worker threads sharing the visit order; 0 picks
-  /// min(hardware threads, 8). Each worker runs whole verifications, so
-  /// total exploration threads ≈ workers * options.explore.jobs.
+  /// min(hardware threads, 8). Each worker runs whole verifications, each
+  /// exploration on its own thread; options.explore.jobs > 1 lets a bound
+  /// sweep's widening round add up to two more.
   unsigned workers = 0;
   /// Enable analytic + dominance pruning. Disabling explores every
   /// candidate (the frontier is identical; only the work changes).

@@ -1,6 +1,6 @@
 // Exploration knobs, split out of reach.h so option-struct consumers (e.g.
 // the core-layer facades with ExploreOptions default arguments) don't pull
-// in the full engine and its threading headers.
+// in the full engine.
 #pragma once
 
 #include <atomic>
@@ -11,21 +11,20 @@ namespace psv::mc {
 
 /// Exploration limits and knobs.
 struct ExploreOptions {
-  /// Hard cap on stored symbolic states; exceeded -> psv::Error. Checked at
-  /// wave barriers, where it is deterministic: a wave that crosses the cap
-  /// throws, for every query kind. A hard backstop at twice this value
-  /// bounds transient memory inside a wave.
+  /// Hard cap on stored symbolic states; exceeded -> psv::Error. Checked on
+  /// every insert: the insert that would store state max_states + 1 throws,
+  /// for every query kind.
   std::size_t max_states = 2'000'000;
 
-  /// Worker threads for wave-parallel exploration. 0 picks one per hardware
-  /// thread; 1 runs fully inline (no threads spawned) — the setting for
-  /// step-debugging diagnostics. Exploration is deterministic by
-  /// construction, so results are identical for every value; only wall
-  /// clock changes.
+  /// Fan-out of the bound sweep's speculative widening rounds: above 1 (0
+  /// picks one per hardware thread), max_clock_values runs a round's up to
+  /// three candidate explorations at once; 1 runs them one after another.
+  /// Each exploration itself runs on one thread. Results are identical for
+  /// every value; only wall clock changes.
   unsigned jobs = 0;
 
   /// Cooperative cancellation. When set and flipped to true, explorations
-  /// abandon at the next wave barrier by throwing ErrorCode::kCancelled;
+  /// abandon before their next wave by throwing ErrorCode::kCancelled;
   /// partial results are discarded (aborted runs never export or memoize).
   /// Like `jobs`, the token cannot change any completed result — it only
   /// decides whether a result is produced at all — so it is NOT part of the

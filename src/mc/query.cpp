@@ -12,13 +12,6 @@ namespace psv::mc {
 
 namespace {
 
-/// Options for one exploration of a parallel batch of `n`: the thread
-/// budget is split evenly (results never depend on jobs, only wall clock).
-ExploreOptions split_jobs(ExploreOptions opts, std::size_t n) {
-  opts.jobs = std::max<unsigned>(1, resolve_jobs(opts.jobs) / std::max<std::size_t>(1, n));
-  return opts;
-}
-
 void validate_query(const ta::Network& net, ta::ClockId clock, std::int64_t limit) {
   PSV_REQUIRE_AS(::psv::ErrorCode::kVerify, clock >= 0 && clock < net.num_clocks(), "max_clock_value: undeclared clock");
   PSV_REQUIRE_AS(::psv::ErrorCode::kVerify, limit > 0 && limit <= dbm::kMaxBoundValue, "max_clock_value: bad limit");
@@ -304,12 +297,11 @@ std::vector<MaxClockResult> max_clock_values(const ta::Network& net,
         if (all_done) break;  // larger candidates are never needed
       }
     } else {
-      const ExploreOptions per_round = split_jobs(opts, factors.size());
       WorkerPool pool(static_cast<unsigned>(factors.size()) - 1);
       pool.parallel_for(factors.size(), [&](std::size_t f) {
         try {
           rounds[f].emplace(
-              sweep_once(net, queries, targets, factors[f], per_round, nullptr, ancestor, capture));
+              sweep_once(net, queries, targets, factors[f], opts, nullptr, ancestor, capture));
         } catch (...) {
           errors[f] = std::current_exception();
         }

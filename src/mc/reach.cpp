@@ -1,19 +1,13 @@
 #include "mc/reach.h"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
-#include <thread>
 
 #include "util/error.h"
 
 namespace psv::mc {
 
 namespace {
-
-/// Frontier width from which spawning the worker pool pays for itself;
-/// narrow explorations (unit-test sized models) stay threadless.
-constexpr std::size_t kPoolSpawnWidth = 16;
 
 /// Element-wise max of the goal formula's clock constants with the
 /// caller-supplied extras (sweep widening candidates).
@@ -26,9 +20,8 @@ std::vector<std::int32_t> merge_clock_consts(std::vector<std::int32_t> base,
   return base;
 }
 
-/// Cooperative cancellation, honoured at wave barriers only — between
-/// barriers a wave always completes, so a run either finishes a wave
-/// deterministically or abandons the whole exploration.
+/// Cooperative cancellation, honoured between waves only, so a run either
+/// finishes a wave or abandons the whole exploration.
 void check_cancel(const ExploreOptions& opts) {
   if (opts.cancel != nullptr && opts.cancel->load(std::memory_order_relaxed))
     PSV_FAIL_AS(::psv::ErrorCode::kCancelled, "exploration cancelled by cooperative token");
@@ -50,26 +43,17 @@ Reachability::Reachability(const ta::Network& net, const StateFormula& goal, Exp
     : net_(net),
       goal_(goal),
       opts_(opts),
-      gen_(net, merge_clock_consts(formula_clock_constants(net, goal), extra_clock_consts)),
-      shards_(kNumShards) {
-  jobs_ = resolve_jobs(opts_.jobs);
-  hard_state_limit_ = opts_.max_states > std::numeric_limits<std::size_t>::max() / 2
-                          ? std::numeric_limits<std::size_t>::max()
-                          : 2 * opts_.max_states;
-}
+      gen_(net, merge_clock_consts(formula_clock_constants(net, goal), extra_clock_consts)) {}
 
-Reachability::~Reachability() = default;
-
-Reachability::Bucket& Reachability::bucket_of(Shard& shard, const SymState& state,
-                                              std::size_t hash) {
-  auto it = shard.passed.find(DiscreteProbe{state, hash});
-  if (it == shard.passed.end())
-    it = shard.passed.emplace(DiscreteKey{state.locs, state.vars, hash}, Bucket{}).first;
+Reachability::Bucket& Reachability::bucket_of(const SymState& state) {
+  const std::size_t hash = state.discrete_hash();
+  auto it = passed_.find(DiscreteProbe{state, hash});
+  if (it == passed_.end())
+    it = passed_.emplace(DiscreteKey{state.locs, state.vars, hash}, Bucket{}).first;
   return it->second;
 }
 
-std::optional<std::uint32_t> Reachability::cover_or_evict(Shard& shard, Bucket& bucket,
-                                                          const dbm::Dbm& zone) {
+std::optional<std::uint32_t> Reachability::cover_or_evict(Bucket& bucket, const dbm::Dbm& zone) {
   // One walk per live zone answers both inclusion directions. The live list
   // is an antichain, so a covered zone can have evicted nothing before its
   // cover is found, and the first cover is the first in insertion order.
@@ -85,7 +69,7 @@ std::optional<std::uint32_t> Reachability::cover_or_evict(Shard& shard, Bucket& 
       // The arena entry stays (parent chains, traces and the export need
       // it); the dead bit keeps it out of every frontier assembled from now
       // on.
-      shard.arena[live.index].dead = true;
+      arena_[live.index].dead = true;
       continue;
     }
     bucket[kept++] = live;
@@ -94,159 +78,47 @@ std::optional<std::uint32_t> Reachability::cover_or_evict(Shard& shard, Bucket& 
   return std::nullopt;
 }
 
-std::optional<std::uint64_t> Reachability::insert(GenSucc&& gs, std::uint64_t parent) {
-  SymState& state = gs.state;
-  const std::size_t shard_index = shard_of(gs.hash, kNumShards);
-  Shard& shard = shards_[shard_index];
-  Bucket& bucket = bucket_of(shard, state, gs.hash);
-  if (const auto idx = cover_or_evict(shard, bucket, state.zone)) {
-    ++shard.subsumed;
+std::optional<std::uint64_t> Reachability::insert(SymSuccessor&& succ, std::uint64_t parent) {
+  Bucket& bucket = bucket_of(succ.state);
+  if (const auto idx = cover_or_evict(bucket, succ.state.zone)) {
+    ++stats_.subsumed;
     // The subsumer now covers every behavior of the pruned successor; the
     // export records that obligation against the parent.
-    if (capture_ && parent != kNoParent)
-      shard.cover_events.emplace_back(parent, pack_id(shard_index, *idx));
+    if (capture_ && parent != kNoParent) cover_events_.emplace_back(parent, *idx);
     return std::nullopt;
   }
-
-  // The cap itself is checked at the wave barrier in insert_wave() — a
-  // check-then-act on the shared counter here would race — where it is
-  // deterministic for every thread count. This hard backstop at twice the
-  // cap bounds transient memory on extreme-fan-out waves; it can only fire
-  // in a wave whose barrier check throws anyway, so the throw/no-throw
-  // outcome stays deterministic.
-  PSV_REQUIRE_AS(::psv::ErrorCode::kVerify,
-                 total_stored_.load(std::memory_order_relaxed) < hard_state_limit_,
+  PSV_REQUIRE_AS(::psv::ErrorCode::kVerify, arena_.size() < opts_.max_states,
                  "state-space exploration exceeded the configured limit of " +
                      std::to_string(opts_.max_states) + " states");
-  const std::size_t local = shard.arena.size();
-  shard.arena.push_back(
-      Stored{std::move(state), parent, std::move(gs.edges), std::move(gs.pre_zone), gs.pre_differs});
-  bucket.push_back(
-      LiveZone{shard.arena.back().state.zone.raw(), static_cast<std::uint32_t>(local)});
-  total_stored_.fetch_add(1, std::memory_order_relaxed);
-  return pack_id(shard_index, local);
+  const std::uint64_t id = arena_.size();
+  arena_.push_back(Stored{std::move(succ.state), parent, std::move(succ.edges),
+                          std::move(succ.pre_zone), succ.pre_differs});
+  bucket.push_back(LiveZone{arena_.back().state.zone.raw(), static_cast<std::uint32_t>(id)});
+  return id;
 }
 
 void Reachability::seed_initial() {
-  GenSucc init;
+  SymSuccessor init;
   init.state = gen_.initial();
-  init.hash = init.state.discrete_hash();
   const auto id = insert(std::move(init), kNoParent);
   PSV_ASSERT(id.has_value(), "initial state must be stored");
-  if (capture_) order_.push_back(*id);
   frontier_.assign(1, *id);
-}
-
-void Reachability::run_parallel(std::size_t n, const std::function<void(std::size_t)>& body) {
-  if (pool_ && n > 1) {
-    pool_->parallel_for(n, body);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) body(i);
-}
-
-void Reachability::generate_wave() {
-  const std::size_t n = frontier_.size();
-  if (jobs_ > 1 && !pool_ && n >= kPoolSpawnWidth) {
-    pool_ = std::make_unique<WorkerPool>(jobs_ - 1);
-  }
-  if (wave_succs_.size() < n) wave_succs_.resize(n);
-  wave_blocked_.assign(n, 0);
-  run_parallel(n, [&](std::size_t i) {
-    const SymState& current = stored(frontier_[i]).state;
-    std::vector<SymSuccessor> raw = gen_.successors(current);
-    std::vector<GenSucc>& out = wave_succs_[i];
-    out.clear();
-    out.reserve(raw.size());
-    for (SymSuccessor& succ : raw) {
-      GenSucc gs;
-      gs.hash = succ.state.discrete_hash();
-      gs.state = std::move(succ.state);
-      gs.edges = std::move(succ.edges);
-      if (capture_) {
-        gs.pre_zone = std::move(succ.pre_zone);
-        gs.pre_differs = succ.pre_differs;
-      }
-      out.push_back(std::move(gs));
-    }
-    // Stored zones are delay-closed, so "no action successor" means no
-    // action can ever be taken from any valuation in this state; it is a
-    // timelock when the locations also stop time. LU-simulation preserves
-    // whether a zone has a successor, and the locations decide whether time
-    // is bounded, so the stored (abstracted) zone is not consulted.
-    if (out.empty()) wave_blocked_[i] = gen_.time_bounded(current.locs) ? 1 : 0;
-  });
-}
-
-void Reachability::insert_wave() {
-  stats_.states_explored += frontier_.size();
-  for (Shard& shard : shards_) {
-    shard.pending.clear();
-    shard.accepted.clear();
-  }
-  // Route every successor to its owning shard, in rank order. Rank order
-  // per shard plus the fixed shard assignment makes each bucket see the
-  // insertion sequence of a FIFO exploration, whatever the thread count.
-  for (std::size_t i = 0; i < frontier_.size(); ++i) {
-    for (std::size_t j = 0; j < wave_succs_[i].size(); ++j) {
-      ++stats_.transitions_fired;
-      const std::uint64_t rank = (static_cast<std::uint64_t>(i) << 32) | j;
-      shards_[shard_of(wave_succs_[i][j].hash, kNumShards)].pending.push_back(rank);
-    }
-  }
-  run_parallel(kNumShards, [&](std::size_t s) {
-    Shard& shard = shards_[s];
-    for (const std::uint64_t rank : shard.pending) {
-      const std::size_t i = static_cast<std::size_t>(rank >> 32);
-      const std::size_t j = static_cast<std::size_t>(rank & 0xffffffffu);
-      GenSucc& gs = wave_succs_[i][j];
-      const auto id = insert(std::move(gs), frontier_[i]);
-      if (id.has_value()) shard.accepted.emplace_back(rank, *id);
-    }
-  });
-  // The accepted states are identical for every thread count, so a wave
-  // that crosses the cap throws at this barrier whatever `jobs` is (memory
-  // overshoot is bounded by one wave's accepted states).
-  PSV_REQUIRE_AS(::psv::ErrorCode::kVerify,
-                 total_stored_.load(std::memory_order_relaxed) <= opts_.max_states,
-                 "state-space exploration exceeded the configured limit of " +
-                     std::to_string(opts_.max_states) + " states");
-  // Assemble the next frontier rank-sorted: the order of a FIFO waiting
-  // queue.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> merged;
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.accepted.size();
-  merged.reserve(total);
-  for (const Shard& shard : shards_)
-    merged.insert(merged.end(), shard.accepted.begin(), shard.accepted.end());
-  std::sort(merged.begin(), merged.end());
-  if (capture_)
-    for (const auto& [rank, id] : merged) order_.push_back(id);
-  // A zone evicted later in the same wave is covered by a live one with the
-  // same discrete state: expanding it would only regenerate subsumed work.
-  next_frontier_.clear();
-  next_frontier_.reserve(merged.size());
-  for (const auto& [rank, id] : merged)
-    if (!stored(id).dead) next_frontier_.push_back(id);
-  frontier_.swap(next_frontier_);
 }
 
 ExploreStats Reachability::snapshot_stats() const {
   ExploreStats stats = stats_;
-  stats.states_stored = total_stored_.load(std::memory_order_relaxed);
-  stats.subsumed = 0;
-  for (const Shard& shard : shards_) stats.subsumed += shard.subsumed;
+  stats.states_stored = arena_.size();
   return stats;
 }
 
 Trace Reachability::build_trace(std::uint64_t id) const {
   std::vector<std::uint64_t> chain;
-  for (std::uint64_t cursor = id; cursor != kNoParent; cursor = stored(cursor).parent)
+  for (std::uint64_t cursor = id; cursor != kNoParent; cursor = arena_[cursor].parent)
     chain.push_back(cursor);
   std::reverse(chain.begin(), chain.end());
   Trace trace;
   for (std::uint64_t link : chain) {
-    const Stored& entry = stored(link);
+    const Stored& entry = arena_[link];
     trace.steps.push_back(TraceStep{gen_.label(entry.edges), entry.state.to_string(net_)});
   }
   return trace;
@@ -273,7 +145,7 @@ Reachability::WaveEnd Reachability::run_waves(const Visitor& visit, Stop stop) {
     check_cancel(opts_);
     if (stop == Stop::kGoal) {
       for (const std::uint64_t id : frontier_) {
-        if (satisfies(net_, stored(id).state, goal_)) {
+        if (satisfies(net_, arena_[id].state, goal_)) {
           end.goal = id;
           return end;
         }
@@ -283,19 +155,33 @@ Reachability::WaveEnd Reachability::run_waves(const Visitor& visit, Stop stop) {
       stats_.warm_seed_expansions += frontier_.size();
       first_warm_wave = false;
     }
-    generate_wave();
-    // Scan the wave in rank (exploration) order: visit callbacks fire
-    // sequentially, and the first timelock and the first quiescent state
-    // are recorded where they occur. Neither ends the run.
-    for (std::size_t i = 0; i < frontier_.size(); ++i) {
-      const std::uint64_t id = frontier_[i];
-      if (visit && !skip_visit) visit(stored(id).state, id);
-      if (!wave_succs_[i].empty()) continue;
-      std::optional<std::uint64_t>& first = wave_blocked_[i] ? end.timelock : end.quiescent;
-      if (!first) first = id;
+    stats_.states_explored += frontier_.size();
+    std::vector<std::uint64_t> next;
+    for (const std::uint64_t id : frontier_) {
+      if (visit && !skip_visit) visit(arena_[id].state, id);
+      // Inserting grows the arena, so the successors are taken whole before
+      // the first insert.
+      std::vector<SymSuccessor> succs = gen_.successors(arena_[id].state);
+      // Stored zones are delay-closed, so "no action successor" means no
+      // action can ever be taken from any valuation in this state; it is a
+      // timelock when the locations also stop time. LU-simulation preserves
+      // whether a zone has a successor, and the locations decide whether
+      // time is bounded, so the stored (abstracted) zone is not consulted.
+      if (succs.empty()) {
+        std::optional<std::uint64_t>& first =
+            gen_.time_bounded(arena_[id].state.locs) ? end.timelock : end.quiescent;
+        if (!first) first = id;
+      }
+      stats_.transitions_fired += succs.size();
+      for (SymSuccessor& succ : succs)
+        if (const auto child = insert(std::move(succ), id)) next.push_back(*child);
     }
     skip_visit = false;
-    insert_wave();
+    // A zone evicted later in the same wave is covered by a live one with
+    // the same discrete state: expanding it would only regenerate subsumed
+    // work.
+    std::erase_if(next, [this](std::uint64_t id) { return arena_[id].dead; });
+    frontier_ = std::move(next);
   }
   // Only complete explorations export: a goal search's store is a prefix.
   if (capture_) export_ = build_export();
@@ -321,9 +207,8 @@ DeadlockResult Reachability::find_deadlock(const Visitor& visit) {
 
 std::vector<const SymState*> Reachability::live_states() const {
   std::vector<const SymState*> live;
-  for (const Shard& shard : shards_)
-    for (const auto& [key, bucket] : shard.passed)
-      for (const LiveZone& zone : bucket) live.push_back(&shard.arena[zone.index].state);
+  for (const auto& [key, bucket] : passed_)
+    for (const LiveZone& zone : bucket) live.push_back(&arena_[zone.index].state);
   return live;
 }
 
@@ -419,7 +304,7 @@ bool Reachability::seed_from_store(const Visitor& visit) {
   std::vector<char> unchanged(n, 0);
   std::vector<char> has_live_child(n, 0);
   std::vector<dbm::Dbm> zones(n, dbm::Dbm(0));
-  std::vector<std::uint64_t> packed(n, 0);
+  std::vector<std::uint64_t> id_of(n, 0);
 
   for (std::size_t i = 0; i < n; ++i) {
     const StoreEntry& entry = anc.entries[i];
@@ -483,30 +368,24 @@ bool Reachability::seed_from_store(const Visitor& visit) {
     // Seed the arena unconditionally (seeds serve as parents even when
     // subsumed, which makes them dead on arrival); the inclusion bucket only
     // accepts non-subsumed zones, with the usual eviction discipline.
-    const std::size_t hash = state.discrete_hash();
-    const std::size_t shard_index = shard_of(hash, kNumShards);
-    Shard& shard = shards_[shard_index];
-    Bucket& bucket = bucket_of(shard, state, hash);
-    const bool subsumed = cover_or_evict(shard, bucket, state.zone).has_value();
-    if (subsumed) ++shard.subsumed;
-    const std::size_t local = shard.arena.size();
+    Bucket& bucket = bucket_of(state);
+    const bool subsumed = cover_or_evict(bucket, state.zone).has_value();
+    if (subsumed) ++stats_.subsumed;
+    id_of[i] = arena_.size();
     const std::uint64_t parent_id =
-        i == 0 ? kNoParent : packed[static_cast<std::size_t>(entry.parent)];
-    shard.arena.push_back(Stored{std::move(state), parent_id, entry.edges, std::move(pre),
-                                 pre_differs, /*dead=*/subsumed});
+        i == 0 ? kNoParent : id_of[static_cast<std::size_t>(entry.parent)];
+    arena_.push_back(Stored{std::move(state), parent_id, entry.edges, std::move(pre), pre_differs,
+                            /*dead=*/subsumed});
     if (!subsumed)
       bucket.push_back(
-          LiveZone{shard.arena.back().state.zone.raw(), static_cast<std::uint32_t>(local)});
-    total_stored_.fetch_add(1, std::memory_order_relaxed);
-    packed[i] = pack_id(shard_index, local);
-    if (capture_) order_.push_back(packed[i]);
+          LiveZone{arena_.back().state.zone.raw(), static_cast<std::uint32_t>(id_of[i])});
   }
 
   // Visit the seeds still live after the whole import, in ordinal order: a
   // seed covered at or after its arrival is represented by its coverer.
   if (visit) {
     for (std::size_t i = 0; i < n; ++i)
-      if (alive[i] && !stored(packed[i]).dead) visit(stored(packed[i]).state, packed[i]);
+      if (alive[i] && !arena_[id_of[i]].dead) visit(arena_[id_of[i]].state, id_of[i]);
   }
 
   // --- Cover carry-over for re-export: a pruned-successor obligation whose
@@ -517,9 +396,7 @@ bool Reachability::seed_from_store(const Visitor& visit) {
     for (std::size_t i = 0; i < n; ++i) {
       if (!alive[i]) continue;
       for (const std::uint64_t o : anc.entries[i].covers) {
-        if (!alive[static_cast<std::size_t>(o)]) continue;
-        const std::size_t s = static_cast<std::size_t>(packed[o] & (kNumShards - 1));
-        shards_[s].cover_events.emplace_back(packed[i], packed[o]);
+        if (alive[static_cast<std::size_t>(o)]) cover_events_.emplace_back(id_of[i], id_of[o]);
       }
     }
   }
@@ -532,7 +409,7 @@ bool Reachability::seed_from_store(const Visitor& visit) {
   // extrapolation — the extrapolation did not shrink: consts nondecreasing).
   frontier_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    if (!alive[i] || stored(packed[i]).dead) continue;
+    if (!alive[i] || arena_[id_of[i]].dead) continue;
     const StoreEntry& entry = anc.entries[i];
     bool closed = unchanged[i] != 0;
     for (std::size_t a = 0; a < num_automata && closed; ++a)
@@ -548,7 +425,7 @@ bool Reachability::seed_from_store(const Visitor& visit) {
     // either one the ancestor run never expanded (evicted by a larger zone
     // first, which the edit may have shrunk) or a quiescent/timelocked one,
     // which must be re-detected from this network's successor generation.
-    if (!closed || (!has_live_child[i] && entry.covers.empty())) frontier_.push_back(packed[i]);
+    if (!closed || (!has_live_child[i] && entry.covers.empty())) frontier_.push_back(id_of[i]);
   }
   return true;
 }
@@ -563,16 +440,12 @@ PassedStoreExport Reachability::build_export() const {
   out.num_vars = net_.num_vars();
   out.num_automata = net_.num_automata();
 
-  std::unordered_map<std::uint64_t, std::uint64_t> ordinal_of;
-  ordinal_of.reserve(order_.size() * 2);
-  for (std::size_t i = 0; i < order_.size(); ++i)
-    ordinal_of.emplace(order_[i], static_cast<std::uint64_t>(i));
-
-  out.entries.reserve(order_.size());
-  for (const std::uint64_t id : order_) {
-    const Stored& s = stored(id);
+  // Ids are arena indices, appended in exploration order: each one is its
+  // entry's ordinal, and kNoParent is kNoStoreParent.
+  out.entries.reserve(arena_.size());
+  for (const Stored& s : arena_) {
     StoreEntry entry;
-    entry.parent = s.parent == kNoParent ? kNoStoreParent : ordinal_of.at(s.parent);
+    entry.parent = s.parent;
     entry.edges = s.edges;
     entry.locs = s.state.locs;
     entry.vars = s.state.vars;
@@ -581,12 +454,8 @@ PassedStoreExport Reachability::build_export() const {
     if (s.pre_differs) entry.pre_zone = s.pre_zone;
     out.entries.push_back(std::move(entry));
   }
-  for (const Shard& shard : shards_) {
-    for (const auto& [parent, subsumer] : shard.cover_events) {
-      out.entries[static_cast<std::size_t>(ordinal_of.at(parent))].covers.push_back(
-          ordinal_of.at(subsumer));
-    }
-  }
+  for (const auto& [parent, subsumer] : cover_events_)
+    out.entries[static_cast<std::size_t>(parent)].covers.push_back(subsumer);
   for (StoreEntry& entry : out.entries) {
     std::sort(entry.covers.begin(), entry.covers.end());
     entry.covers.erase(std::unique(entry.covers.begin(), entry.covers.end()),

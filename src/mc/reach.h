@@ -1,27 +1,22 @@
 // Symbolic reachability with inclusion subsumption and diagnostic traces.
 //
-// The engine explores the zone graph in breadth-first waves over a sharded
-// passed/waiting store, hash-partitioned by the discrete part of the state
-// (location vector + variable valuation):
+// The engine explores the zone graph breadth-first, one wave at a time, on
+// the calling thread. Every stored state lives in one arena, and its arena
+// index is its id; the passed list maps each exact discrete part of a state
+// (location vector + variable valuation) to a bucket of live zones:
 //
-//   * successor generation for the whole frontier fans out over a
-//     work-stealing worker pool (zone algebra dominates the cost);
-//   * inclusion-subsumption checks and insertions are shard-local — each
-//     shard is owned by exactly one worker per insertion phase, so the hot
-//     path needs no lock at all, not even a per-shard mutex;
-//   * every successor carries a deterministic rank (frontier index,
-//     successor index); shards insert in rank order and the next frontier
-//     is assembled rank-sorted, so stores, statistics, traces, and verified
-//     bounds are BIT-IDENTICAL for every thread count — `jobs` only changes
-//     wall-clock time, never a result;
+//   * each frontier state is visited, its successors generated, and each
+//     successor inserted in turn — an inclusion check against its bucket,
+//     then an arena append; accepted states form the next frontier in
+//     exploration order, so a state's id is also its export ordinal;
 //   * only live zones are expanded (the passed/waiting rule of Bengtsson &
 //     Yi): a stored zone evicted from its bucket by a later, larger zone with
-//     the same discrete state is marked dead and dropped from every frontier
-//     assembled afterwards. Dead entries stay in the arena (and in the
-//     export's ordinal order) for parent chains, but are never visited or
-//     expanded, so `states_explored` counts live zones only. The dead bit is
-//     written by the shard's owner during insertion and read after the wave
-//     barrier, so it is identical for every thread count.
+//     the same discrete state is marked dead and dropped from the next
+//     frontier. Dead entries stay in the arena for parent chains and the
+//     export, but are never visited or expanded, so `states_explored` counts
+//     live zones only. A state of the current frontier evicted by a
+//     sibling's successor is still expanded: the wave was fixed when it
+//     began.
 //
 // One wave loop answers every question the engine is asked:
 //
@@ -29,27 +24,23 @@
 //     frontier empties;
 //   * goal search (reachable) stops at the first live frontier state, in
 //     exploration order, that satisfies the goal, before that wave expands;
-//   * every run records, in rank order, the first timelocked and the first
-//     quiescent live state (a successor-free zone is a timelock when its
-//     locations bound time, SuccGen::time_bounded — never read off the
-//     Extra_LU⁺-abstracted zone, which may have lost an invariant's bound;
-//     a zone covered by another with the same discrete state is never
-//     checked), so deadlock search (find_deadlock) is the full sweep itself
-//     and one exploration answers the deadlock question, the C1–C4 flags
-//     and the bound maxima together.
+//   * every run records the first timelocked and the first quiescent live
+//     state (a successor-free zone is a timelock when its locations bound
+//     time, SuccGen::time_bounded — never read off the Extra_LU⁺-abstracted
+//     zone, which may have lost an invariant's bound; a zone covered by
+//     another with the same discrete state is never checked), so deadlock
+//     search (find_deadlock) is the full sweep itself and one exploration
+//     answers the deadlock question, the C1–C4 flags and the bound maxima
+//     together.
 //
-// ExploreOptions::max_states is checked at wave barriers: a wave that
-// crosses the cap throws, for every query kind and every thread count.
+// ExploreOptions::max_states is checked on every insert: the insert that
+// would store one state more than the cap throws, for every query kind.
 //
-// Trace reconstruction follows parent-pointer records (packed shard+index
-// ids) back to the initial state.
+// Trace reconstruction follows parent ids back to the initial state.
 #pragma once
 
-#include <atomic>
-#include <bit>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -60,7 +51,6 @@
 #include "mc/state.h"
 #include "mc/store.h"
 #include "mc/succ.h"
-#include "mc/worker_pool.h"
 
 namespace psv::mc {
 
@@ -115,15 +105,13 @@ class Reachability {
   /// upper bounds exact up to its current widening candidate.
   Reachability(const ta::Network& net, const StateFormula& goal, ExploreOptions opts = {},
                std::vector<std::int32_t> extra_clock_consts = {});
-  ~Reachability();
 
   Reachability(const Reachability&) = delete;
   Reachability& operator=(const Reachability&) = delete;
 
-  /// Receives each visited state with its packed store id, usable with
-  /// trace_of() to rebuild a witness afterwards. Always called sequentially
-  /// from the calling thread, in deterministic exploration order —
-  /// callbacks need no synchronization.
+  /// Receives each visited state with its store id, usable with trace_of()
+  /// to rebuild a witness afterwards. Called from the calling thread, in
+  /// exploration order. The state reference is valid only during the call.
   using Visitor = std::function<void(const SymState&, std::uint64_t)>;
 
   /// Explore the full (subsumption-reduced) state space, invoking `visit`
@@ -139,8 +127,7 @@ class Reachability {
   /// Batched trace_of: materialize one trace per id, index-aligned. The
   /// sweep bound engine retains the ids of the K ranked states attaining
   /// the top probe-clock maxima and materializes their traces here before
-  /// the engine dies; ids come from deterministic exploration order, so the
-  /// materialized rankings are bit-identical at every thread count.
+  /// the engine dies.
   std::vector<Trace> traces_of(const std::vector<std::uint64_t>& ids) const;
 
   /// Deadlock search: the explore_all sweep, reporting the first timelock,
@@ -151,9 +138,9 @@ class Reachability {
   DeadlockResult find_deadlock(const Visitor& visit = nullptr);
 
   /// Record everything a passed-store export needs beyond the always-kept
-  /// participating edges (pre-extrapolation zones, deterministic insertion
-  /// order, subsumption covers) during the next exploration. Must be called
-  /// before any run; adds memory per stored state but no algorithmic cost.
+  /// participating edges (pre-extrapolation zones, subsumption covers)
+  /// during the next exploration. Must be called before any run; adds
+  /// memory per stored state but no algorithmic cost.
   void enable_capture();
 
   /// Warm-start the next exploration from an ancestor store produced by a
@@ -179,23 +166,17 @@ class Reachability {
   friend ReachResult reachable(const ta::Network& net, const StateFormula& goal,
                                ExploreOptions opts);
 
-  /// Shard count of the passed/waiting store. Fixed (independent of `jobs`)
-  /// so the shard assignment — and with it every bucket's insertion
-  /// sequence — never depends on the thread count. Power of two.
-  static constexpr std::size_t kNumShards = 64;
-  static constexpr std::size_t kShardBits = std::bit_width(kNumShards - 1);
-  static_assert((kNumShards & (kNumShards - 1)) == 0, "shard count must be a power of two");
-  static constexpr std::uint64_t kNoParent = ~std::uint64_t{0};
+  static constexpr std::uint64_t kNoParent = kNoStoreParent;
 
   struct Stored {
     SymState state;
-    std::uint64_t parent;        ///< packed id, kNoParent for initial
+    std::uint64_t parent;        ///< arena index, kNoParent for initial
     std::vector<EdgeRef> edges;  ///< participating edges leading here, firing order
     // Capture-mode extras (default when capture is off).
     dbm::Dbm pre_zone{0};        ///< pre-extrapolation zone when pre_differs
     bool pre_differs = false;
     /// Evicted from its bucket by a larger zone: kept for parent chains,
-    /// never visited or expanded. Written only by the owning shard.
+    /// never visited or expanded.
     bool dead = false;
   };
 
@@ -240,59 +221,18 @@ class Reachability {
   /// under inclusion.
   using Bucket = std::vector<LiveZone>;
 
-  /// One hash partition of the passed/waiting store. During a parallel
-  /// insertion phase each shard is touched by exactly one worker
-  /// ("owner-computes"), so no per-shard lock is needed.
-  struct Shard {
-    std::vector<Stored> arena;
-    /// Exact discrete state -> its live (non-dead) zones.
-    std::unordered_map<DiscreteKey, Bucket, DiscreteHash, DiscreteEq> passed;
-    std::size_t subsumed = 0;
-    /// (rank, id) pairs accepted in the current wave, rank-ascending.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> accepted;
-    /// Ranks ((frontier index << 32) | successor index) routed to this
-    /// shard in the current wave, rank-ascending.
-    std::vector<std::uint64_t> pending;
-    /// Capture mode: (parent id, subsumer id) recorded whenever this
-    /// shard's subsumption check pruned a successor — the export needs them
-    /// to justify skipping closed states on a warm start.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> cover_events;
-  };
+  /// Insert a successor of `parent`: subsumption check, live-list update,
+  /// arena append. Returns the new id if stored, nullopt if subsumed.
+  std::optional<std::uint64_t> insert(SymSuccessor&& succ, std::uint64_t parent);
 
-  /// One generated successor, with its discrete hash precomputed so
-  /// insertion stays pure bookkeeping.
-  struct GenSucc {
-    SymState state;
-    std::size_t hash = 0;
-    std::vector<EdgeRef> edges;
-    // Capture-mode extras, forwarded from SymSuccessor into the store.
-    dbm::Dbm pre_zone{0};
-    bool pre_differs = false;
-  };
-
-  static std::uint64_t pack_id(std::size_t shard, std::size_t index) {
-    return (static_cast<std::uint64_t>(index) << kShardBits) | static_cast<std::uint64_t>(shard);
-  }
-  const Stored& stored(std::uint64_t id) const {
-    return shards_[id & (kNumShards - 1)].arena[id >> kShardBits];
-  }
-
-  /// Insert into the owning shard: subsumption check, live-list update,
-  /// arena append. Returns the packed id if stored, nullopt if subsumed.
-  /// Thread-safe only under the owner-computes discipline (one thread per
-  /// shard at a time).
-  std::optional<std::uint64_t> insert(GenSucc&& gs, std::uint64_t parent);
-
-  /// The bucket of `state`'s discrete part (`hash` = its discrete_hash),
-  /// created empty on first use.
-  static Bucket& bucket_of(Shard& shard, const SymState& state, std::size_t hash);
+  /// The bucket of `state`'s discrete part, created empty on first use.
+  Bucket& bucket_of(const SymState& state);
 
   /// The one inclusion pass over `bucket`: the arena index of the first live
   /// zone that includes `zone`, if any; otherwise every live zone `zone`
   /// includes leaves the bucket and is marked dead. The caller appends
   /// `zone` itself once it is stored.
-  static std::optional<std::uint32_t> cover_or_evict(Shard& shard, Bucket& bucket,
-                                                     const dbm::Dbm& zone);
+  std::optional<std::uint32_t> cover_or_evict(Bucket& bucket, const dbm::Dbm& zone);
 
   /// Store the initial state and seed the frontier.
   void seed_initial();
@@ -302,7 +242,7 @@ class Reachability {
     kNever,  ///< full sweep
     kGoal,   ///< first live frontier state satisfying goal_
   };
-  /// What a run of the wave loop found, each first in rank order.
+  /// What a run of the wave loop found, each first in exploration order.
   struct WaveEnd {
     std::optional<std::uint64_t> goal;       ///< goal state (kGoal)
     std::optional<std::uint64_t> timelock;   ///< successor-free, time blocked
@@ -310,24 +250,11 @@ class Reachability {
   };
 
   /// The one wave loop: seed (warm or cold), then per wave stop at the
-  /// first goal state (kGoal), generate successors, visit the live frontier
-  /// in rank order recording the first timelock and quiescent state, and
-  /// insert the wave. Only a run that empties the frontier exports its
+  /// first goal state (kGoal), and visit, expand and insert the successors
+  /// of each frontier state in turn, recording the first timelock and
+  /// quiescent state. Only a run that empties the frontier exports its
   /// store.
   WaveEnd run_waves(const Visitor& visit, Stop stop);
-
-  /// Generate successors for the whole frontier in parallel into
-  /// wave_succs_, and the timelock-ness of successor-free states into
-  /// wave_blocked_.
-  void generate_wave();
-
-  /// Insert the whole wave shard-parallel in rank order, check the state
-  /// cap, and assemble the next frontier (rank-sorted). Accounts
-  /// states_explored / transitions_fired for the full wave.
-  void insert_wave();
-
-  /// Run body(i) for i in [0, n) on the pool (created lazily) or inline.
-  void run_parallel(std::size_t n, const std::function<void(std::size_t)>& body);
 
   ExploreStats snapshot_stats() const;
 
@@ -350,24 +277,20 @@ class Reachability {
   StateFormula goal_;
   ExploreOptions opts_;
   SuccGen gen_;
-  unsigned jobs_ = 1;  ///< resolved thread count (opts_.jobs, 0 -> hw)
-  std::size_t hard_state_limit_ = 0;  ///< 2x max_states memory backstop
 
-  std::vector<Shard> shards_;
-  std::atomic<std::size_t> total_stored_{0};
-  std::vector<std::uint64_t> frontier_;       ///< packed ids, rank order
-  std::vector<std::uint64_t> next_frontier_;  ///< assembled by insert_wave
-  std::vector<std::vector<GenSucc>> wave_succs_;  ///< per frontier state
-  std::vector<unsigned char> wave_blocked_;       ///< per frontier state
-  ExploreStats stats_;  ///< explored/fired only; snapshot_stats adds the rest
-  std::unique_ptr<WorkerPool> pool_;  ///< created on the first big wave
+  std::vector<Stored> arena_;  ///< every stored state; the index is its id
+  /// Exact discrete state -> its live (non-dead) zones.
+  std::unordered_map<DiscreteKey, Bucket, DiscreteHash, DiscreteEq> passed_;
+  std::vector<std::uint64_t> frontier_;  ///< ids, exploration order
+  ExploreStats stats_;  ///< snapshot_stats adds states_stored
 
   // Incremental-exploration state (enable_capture / set_ancestor).
   bool capture_ = false;
   const PassedStoreExport* ancestor_ = nullptr;
-  /// Packed ids in deterministic insertion order (capture mode): the
-  /// export's ordinal numbering.
-  std::vector<std::uint64_t> order_;
+  /// Capture mode: (parent id, subsumer id) recorded whenever the
+  /// subsumption check pruned a successor — the export needs them to
+  /// justify skipping closed states on a warm start.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> cover_events_;
   std::optional<PassedStoreExport> export_;
 };
 

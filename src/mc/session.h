@@ -68,8 +68,8 @@ class VerificationSession {
   /// Install (or clear, with null) the cooperative cancel token every
   /// subsequent exploration honours. Pooled sessions outlive individual
   /// requests, so each request must set its own token — including null to
-  /// shed a predecessor's. A fired token aborts explorations at the next
-  /// wave barrier with ErrorCode::kCancelled; the memo is untouched
+  /// shed a predecessor's. A fired token aborts explorations before their
+  /// next wave with ErrorCode::kCancelled; the memo is untouched
   /// (entries are recorded only after completed explorations), so the
   /// session stays valid for later requests.
   void set_cancel(std::shared_ptr<const std::atomic<bool>> cancel) {

@@ -18,14 +18,6 @@ std::size_t SymState::discrete_hash() const {
   return h;
 }
 
-std::size_t shard_of(std::size_t discrete_hash, std::size_t num_shards) {
-  std::uint64_t z = static_cast<std::uint64_t>(discrete_hash) + 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  z ^= z >> 31;
-  return static_cast<std::size_t>(z) & (num_shards - 1);
-}
-
 std::string SymState::to_string(const ta::Network& net) const {
   std::ostringstream os;
   os << "(";

@@ -50,12 +50,6 @@ struct StateFormula {
   std::string to_string(const ta::Network& net) const;
 };
 
-/// Shard index for hash-partitioned state stores. Finalizes `discrete_hash`
-/// with a splitmix64-style avalanche so the low bits used for shard
-/// selection decorrelate from the raw hash bits used as bucket keys inside
-/// the shard. `num_shards` must be a power of two.
-std::size_t shard_of(std::size_t discrete_hash, std::size_t num_shards);
-
 /// Formula requiring `automaton` to rest at location `loc` (by names).
 StateFormula at(const ta::Network& net, const std::string& automaton, const std::string& loc);
 

@@ -1,11 +1,9 @@
 // A small persistent thread pool with a chunked work-stealing parallel_for.
 //
-// Built for the wave-parallel reachability engine: the caller repeatedly
-// issues parallel_for batches separated by (implicit) barriers. Workers park
-// on a condition variable between batches, so a pool amortizes across the
-// thousands of exploration waves of a single query. The calling thread
-// participates in every batch, so WorkerPool(0 extra threads) degenerates to
-// a plain loop.
+// The bound sweep runs a widening round's speculative candidate explorations
+// on it (mc/query.cpp). Workers park on a condition variable between
+// batches. The calling thread participates in every batch, so WorkerPool(0
+// extra threads) degenerates to a plain loop.
 #pragma once
 
 #include <atomic>

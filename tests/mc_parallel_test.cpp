@@ -1,16 +1,20 @@
-// Determinism and stress coverage for the wave-parallel reachability core.
+// Pinned exploration counts and stress coverage for the reachability engine.
 //
-// The engine guarantees bit-identical results for every `jobs` setting: the
-// sharded passed/waiting store inserts in deterministic rank order, so
-// traces, statistics, and verified bounds must not depend on the thread
-// count. These tests pin that contract on the shipped case-study models
-// (pump, quickstart) and on a seeded synthetic model built to maximize racy
-// interleavings (wide waves, heavy cross-shard traffic). The stress tests
-// are part of the `fast` label so the ASan+UBSan CI job runs them.
+// The engine explores on the calling thread whatever `jobs` is: `jobs` only
+// fans out the speculative widening rounds of the bound sweep (mc/query.h).
+// These tests pin the exact state counts of the shipped case-study models
+// (pump, quickstart) and of seeded synthetic networks built for wide waves
+// and many evictions, the state cap at its exact boundary, the goal-search
+// versus first-visit differential, and that an exploration starts no
+// thread. They are part of the `fast` label so the ASan+UBSan CI job runs
+// them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/analysis.h"
@@ -19,7 +23,6 @@
 #include "core/transform.h"
 #include "lang/model_parser.h"
 #include "lang/scheme_parser.h"
-#include "mc/query.h"
 #include "mc/reach.h"
 #include "model_paths.h"
 #include "util/error.h"
@@ -29,13 +32,6 @@ namespace psv {
 namespace {
 
 using namespace psv::ta;
-
-const std::vector<unsigned> kJobCounts = {1, 2, 8};
-
-bool stats_equal(const mc::ExploreStats& a, const mc::ExploreStats& b) {
-  return a.states_stored == b.states_stored && a.states_explored == b.states_explored &&
-         a.transitions_fired == b.transitions_fired && a.subsumed == b.subsumed;
-}
 
 std::string stats_str(const mc::ExploreStats& s) {
   std::ostringstream os;
@@ -47,112 +43,64 @@ std::string stats_str(const mc::ExploreStats& s) {
 using psv::testing::parse_model_file;
 using psv::testing::parse_scheme_file;
 
-// --- Determinism across job counts ------------------------------------------
+// --- Case-study pins ----------------------------------------------------------
 
-TEST(ParallelDeterminism, PumpPimReachabilityIdenticalAcrossJobs) {
+TEST(ExplorationPins, PumpPimReachability) {
   const Network pim = parse_model_file("pump_syringe.psv");
-  std::vector<mc::ReachResult> results;
-  for (unsigned jobs : kJobCounts) {
-    mc::ExploreOptions opts;
-    opts.jobs = jobs;
-    results.push_back(mc::reachable(pim, mc::at(pim, "M", "Infusing"), opts));
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[0].reachable, results[i].reachable);
-    EXPECT_EQ(results[0].trace.to_string(), results[i].trace.to_string())
-        << "trace must not depend on jobs=" << kJobCounts[i];
-    EXPECT_TRUE(stats_equal(results[0].stats, results[i].stats))
-        << "jobs=1: " << stats_str(results[0].stats) << "\njobs=" << kJobCounts[i] << ": "
-        << stats_str(results[i].stats);
-  }
+  const mc::ReachResult r = mc::reachable(pim, mc::at(pim, "M", "Infusing"));
+  EXPECT_TRUE(r.reachable);
+  EXPECT_FALSE(r.trace.steps.empty());
+  EXPECT_EQ(stats_str(r.stats), "stored=3 explored=2 fired=2 subsumed=0");
 }
 
-TEST(ParallelDeterminism, PumpPimVerifiedBoundIdenticalAcrossJobs) {
+TEST(ExplorationPins, PumpPimVerifiedBound) {
   const Network pim = parse_model_file("pump_syringe.psv");
   const core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
   const core::TimingRequirement req =
       lang::parse_requirement("REQ1: BolusReq -> StartInfusion within 500");
-  std::vector<core::PimVerification> results;
-  for (unsigned jobs : kJobCounts) {
-    mc::ExploreOptions explore;
-    explore.jobs = jobs;
-    results.push_back(core::verify_pim_requirement(pim, info, req, 100'000, explore));
-  }
-  for (const core::PimVerification& v : results) {
-    EXPECT_TRUE(v.bounded);
-    EXPECT_EQ(v.max_delay, results[0].max_delay);
-    EXPECT_EQ(v.holds, results[0].holds);
-  }
-  EXPECT_EQ(results[0].max_delay, 500) << "paper's exact PIM bound";
+  const core::PimVerification v = core::verify_pim_requirement(pim, info, req, 100'000);
+  EXPECT_TRUE(v.bounded);
+  EXPECT_TRUE(v.holds);
+  EXPECT_EQ(v.max_delay, 500) << "paper's exact PIM bound";
 }
 
-TEST(ParallelDeterminism, PumpPsmFullExplorationIdenticalAcrossJobs) {
-  // The REQ1-only pump keeps the sweep in the seconds range.
+/// The REQ1-only pump PSM keeps the sweep in the sub-second range.
+core::PsmArtifacts pump_psm() {
   const Network pim = parse_model_file("pump.psv");
   const core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
-  const core::PsmArtifacts psm = core::transform(pim, info, parse_scheme_file("board.pss"));
+  return core::transform(pim, info, parse_scheme_file("board.pss"));
+}
 
-  std::vector<mc::ExploreStats> stats;
-  for (unsigned jobs : kJobCounts) {
-    mc::ExploreOptions opts;
-    opts.jobs = jobs;
-    mc::Reachability engine(psm.psm, mc::StateFormula{}, opts);
-    stats.push_back(engine.explore_all(nullptr));
-  }
-  for (std::size_t i = 1; i < stats.size(); ++i) {
-    EXPECT_TRUE(stats_equal(stats[0], stats[i]))
-        << "jobs=1: " << stats_str(stats[0]) << "\njobs=" << kJobCounts[i] << ": "
-        << stats_str(stats[i]);
-  }
-  EXPECT_GT(stats[0].states_stored, 1000u) << "the sweep must be a real workload";
+TEST(ExplorationPins, PumpPsmFullExploration) {
+  const core::PsmArtifacts psm = pump_psm();
+  mc::Reachability engine(psm.psm, mc::StateFormula{});
+  const mc::ExploreStats stats = engine.explore_all(nullptr);
   // Exact counts of the live-zone engine under Extra_LU⁺: a change that
   // starts expanding zones a larger one already covers, or refines the
   // abstraction, fails here, not only by running slow.
-  EXPECT_EQ(stats[0].states_stored, 5976u);
-  EXPECT_EQ(stats[0].states_explored, 5205u);
-  EXPECT_EQ(stats[0].transitions_fired, 7011u);
-  EXPECT_EQ(stats[0].subsumed, 1036u);
-  EXPECT_LT(stats[0].states_explored, stats[0].states_stored)
+  EXPECT_EQ(stats.states_stored, 5976u);
+  EXPECT_EQ(stats.states_explored, 5205u);
+  EXPECT_EQ(stats.transitions_fired, 7011u);
+  EXPECT_EQ(stats.subsumed, 1036u);
+  EXPECT_LT(stats.states_explored, stats.states_stored)
       << "covered zones are stored but never expanded";
 }
 
-TEST(ParallelDeterminism, PumpPsmDeadlockSearchIdenticalAcrossJobs) {
-  const Network pim = parse_model_file("pump.psv");
-  const core::PimInfo info = core::analyze_pim(pim, "M", "ENV");
-  const core::PsmArtifacts psm = core::transform(pim, info, parse_scheme_file("board.pss"));
-
-  std::vector<mc::DeadlockResult> results;
-  for (unsigned jobs : {1u, 8u}) {
-    mc::ExploreOptions opts;
-    opts.jobs = jobs;
-    mc::Reachability engine(psm.psm, mc::StateFormula{}, opts);
-    results.push_back(engine.find_deadlock());
-  }
-  EXPECT_EQ(results[0].found, results[1].found);
-  EXPECT_EQ(results[0].timelock, results[1].timelock);
-  EXPECT_EQ(results[0].trace.to_string(), results[1].trace.to_string());
-  EXPECT_TRUE(stats_equal(results[0].stats, results[1].stats))
-      << "jobs=1: " << stats_str(results[0].stats) << "\njobs=8: " << stats_str(results[1].stats);
+TEST(ExplorationPins, PumpPsmDeadlockSearchIsTheFullSweep) {
+  const core::PsmArtifacts psm = pump_psm();
+  mc::Reachability engine(psm.psm, mc::StateFormula{});
+  const mc::DeadlockResult result = engine.find_deadlock();
+  EXPECT_EQ(stats_str(result.stats), "stored=5976 explored=5205 fired=7011 subsumed=1036");
+  EXPECT_EQ(result.found, false);
 }
 
-TEST(ParallelDeterminism, QuickstartFrameworkIdenticalAcrossJobs) {
+TEST(ExplorationPins, QuickstartFramework) {
   core::VerifyRequest request;
   request.pim = parse_model_file("quickstart.psv");
   request.schemes = {parse_scheme_file("fast.pss")};
   request.requirements = {{"QREQ", "Req", "Ack", 80}};
-
-  std::vector<core::VerifyReport> results;
-  for (unsigned jobs : kJobCounts) {
-    request.options.explore.jobs = jobs;
-    results.push_back(core::Verifier().verify(request));
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    // The rendered report embeds state counts from the shared constraint
-    // exploration, so string equality pins stats determinism end to end.
-    EXPECT_EQ(results[0].requirement_summary(0, 0), results[i].requirement_summary(0, 0))
-        << "full pipeline report must not depend on jobs=" << kJobCounts[i];
-  }
-  const core::RequirementResult& first = results[0].schemes[0].requirements[0];
+  const core::VerifyReport report = core::Verifier().verify(request);
+  const core::RequirementResult& first = report.schemes[0].requirements[0];
   EXPECT_EQ(first.bounds.input_delays.at(0).verified, 14);
   EXPECT_EQ(first.bounds.output_delays.at(0).verified, 3);
   EXPECT_EQ(first.bounds.lemma2_total, 97);
@@ -161,11 +109,13 @@ TEST(ParallelDeterminism, QuickstartFrameworkIdenticalAcrossJobs) {
 
 // --- Seeded stress model -----------------------------------------------------
 
-// A network built to produce wide waves and heavy cross-shard traffic: `n`
-// automata, each looping through 3 locations on its own clock with a seeded
-// timing window, all bumping a shared counter. The discrete product (3^n
-// locations x counter values) fans out into hundreds of simultaneously
-// waiting states whose insertions race across shards when jobs > 1.
+/// States stored by the full sweep of stress_net(3, 2015).
+constexpr std::size_t kStressStored = 2634;
+
+// A network built to produce wide waves and many evictions: `n` automata,
+// each looping through 3 locations on its own clock with a seeded timing
+// window, all bumping a shared counter. The discrete product (3^n locations
+// x counter values) fans out into hundreds of simultaneously waiting states.
 Network stress_net(int n, std::uint64_t seed) {
   Rng rng(seed);
   Network net("stress");
@@ -205,49 +155,27 @@ Network stress_net(int n, std::uint64_t seed) {
   return net;
 }
 
-TEST(ParallelStress, SeededRacyInterleavingsAreDeterministic) {
+TEST(StressPins, SeededNetworkCounts) {
   const Network net = stress_net(3, 2015);
-  mc::ExploreOptions base;
-  base.jobs = 1;
-  mc::Reachability reference(net, mc::StateFormula{}, base);
-  const mc::ExploreStats expected = reference.explore_all(nullptr);
-  EXPECT_GT(expected.states_stored, 500u) << "stress model must produce wide waves";
-
-  // Repeated parallel runs shake scheduling interleavings; every one must
-  // reproduce the single-threaded exploration exactly.
-  for (int round = 0; round < 3; ++round) {
-    mc::ExploreOptions opts;
-    opts.jobs = 8;
-    mc::Reachability engine(net, mc::StateFormula{}, opts);
-    const mc::ExploreStats stats = engine.explore_all(nullptr);
-    EXPECT_TRUE(stats_equal(expected, stats))
-        << "round " << round << "\njobs=1: " << stats_str(expected)
-        << "\njobs=8: " << stats_str(stats);
-  }
+  mc::Reachability engine(net, mc::StateFormula{});
+  const mc::ExploreStats stats = engine.explore_all(nullptr);
+  EXPECT_GT(stats.states_stored, 500u) << "stress model must produce wide waves";
+  EXPECT_EQ(stats_str(stats), "stored=2634 explored=1443 fired=4299 subsumed=1666");
 }
 
-TEST(ParallelStress, ReachabilityGoalDeterministicUnderParallelism) {
+TEST(StressPins, ReachabilityGoal) {
   const Network net = stress_net(3, 7);
   const mc::StateFormula goal = mc::when(var_eq(0, 6));  // counter reaches 6
-  std::vector<mc::ReachResult> results;
-  for (unsigned jobs : kJobCounts) {
-    mc::ExploreOptions opts;
-    opts.jobs = jobs;
-    results.push_back(mc::reachable(net, goal, opts));
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[0].reachable, results[i].reachable);
-    EXPECT_EQ(results[0].trace.to_string(), results[i].trace.to_string());
-    EXPECT_TRUE(stats_equal(results[0].stats, results[i].stats))
-        << "jobs=1: " << stats_str(results[0].stats) << "\njobs=" << kJobCounts[i] << ": "
-        << stats_str(results[i].stats);
-  }
+  const mc::ReachResult r = mc::reachable(net, goal);
+  EXPECT_TRUE(r.reachable);
+  EXPECT_EQ(r.trace.steps.size(), 13u);
+  EXPECT_EQ(stats_str(r.stats), "stored=903 explored=502 fired=1427 subsumed=525");
 }
 
 // Goal search and the full sweep run the same wave loop: a goal is
 // reachable exactly when some state the sweep visits satisfies it, and the
 // goal search's trace leads to the first such visit — one step per wave.
-TEST(ParallelStress, GoalSearchMatchesFirstSatisfyingVisitAcrossJobs) {
+TEST(StressPins, GoalSearchMatchesFirstSatisfyingVisit) {
   int reachable_goals = 0;
   int unreachable_goals = 0;
   for (const std::uint64_t seed : {3u, 7u, 11u, 2015u}) {
@@ -261,39 +189,90 @@ TEST(ParallelStress, GoalSearchMatchesFirstSatisfyingVisitAcrossJobs) {
       goals.push_back(goal);
     }
     for (const mc::StateFormula& goal : goals) {
-      for (unsigned jobs : kJobCounts) {
-        mc::ExploreOptions opts;
-        opts.jobs = jobs;
-        mc::Reachability sweep(net, goal, opts);
-        std::optional<std::uint64_t> first;
-        sweep.explore_all([&](const mc::SymState& state, std::uint64_t id) {
-          if (!first && mc::satisfies(net, state, goal)) first = id;
-        });
-        const mc::ReachResult r = mc::reachable(net, goal, opts);
-        ASSERT_EQ(r.reachable, first.has_value()) << "seed " << seed << " jobs " << jobs;
-        if (!first) {
-          ++unreachable_goals;
-          continue;
-        }
-        ++reachable_goals;
-        // A state visited in wave w has a w-step parent chain.
-        const mc::Trace visited = sweep.trace_of(*first);
-        const std::size_t wave = visited.steps.size() - 1;
-        EXPECT_EQ(r.trace.steps.size() - 1, wave) << "seed " << seed << " jobs " << jobs;
-        EXPECT_EQ(r.trace.to_string(), visited.to_string()) << "seed " << seed << " jobs " << jobs;
+      mc::Reachability sweep(net, goal);
+      std::optional<std::uint64_t> first;
+      sweep.explore_all([&](const mc::SymState& state, std::uint64_t id) {
+        if (!first && mc::satisfies(net, state, goal)) first = id;
+      });
+      const mc::ReachResult r = mc::reachable(net, goal);
+      ASSERT_EQ(r.reachable, first.has_value()) << "seed " << seed;
+      if (!first) {
+        ++unreachable_goals;
+        continue;
       }
+      ++reachable_goals;
+      // A state visited in wave w has a w-step parent chain.
+      const mc::Trace visited = sweep.trace_of(*first);
+      const std::size_t wave = visited.steps.size() - 1;
+      EXPECT_EQ(r.trace.steps.size() - 1, wave) << "seed " << seed;
+      EXPECT_EQ(r.trace.to_string(), visited.to_string()) << "seed " << seed;
     }
   }
   EXPECT_GT(reachable_goals, 0);
   EXPECT_GT(unreachable_goals, 0);
 }
 
-TEST(ParallelStress, MaxStatesCapStillEnforcedUnderParallelism) {
+// The cap is checked on every insert and is exact: a run storing exactly
+// max_states states completes, one state fewer throws.
+TEST(StateCap, ExactAtThePinnedStoredCount) {
   const Network net = stress_net(3, 2015);
   mc::ExploreOptions opts;
-  opts.jobs = 8;
+  opts.max_states = kStressStored;
+  mc::Reachability exact(net, mc::StateFormula{}, opts);
+  EXPECT_EQ(exact.explore_all(nullptr).states_stored, kStressStored);
+
+  opts.max_states = kStressStored - 1;
+  mc::Reachability capped(net, mc::StateFormula{}, opts);
+  try {
+    capped.explore_all(nullptr);
+    FAIL() << "a run storing one state over the cap must throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kVerify);
+    EXPECT_NE(std::string(e.what()).find("state-space exploration exceeded the configured limit "
+                                         "of " + std::to_string(kStressStored - 1) + " states"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(StateCap, GoalSearchHonoursTheCap) {
+  const Network net = stress_net(3, 2015);
+  mc::ExploreOptions opts;
   opts.max_states = 100;
   EXPECT_THROW(mc::reachable(net, mc::when(var_eq(0, 999)), opts), Error);
+}
+
+#ifdef __linux__
+/// Threads of this process: the entries of /proc/self/task.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+#endif
+
+// `jobs` does not fan an exploration out: a pump PSM sweep at jobs = 8 runs
+// on the calling thread from its first wave to its last.
+TEST(SingleThread, ExplorationStartsNoThread) {
+#ifdef __linux__
+  const core::PsmArtifacts psm = pump_psm();
+  mc::ExploreOptions opts;
+  opts.jobs = 8;
+  mc::Reachability engine(psm.psm, mc::StateFormula{}, opts);
+  const std::size_t before = thread_count();
+  std::size_t most = 0;
+  std::size_t visits = 0;
+  engine.explore_all([&](const mc::SymState&, std::uint64_t) {
+    most = std::max(most, thread_count());
+    ++visits;
+  });
+  EXPECT_GT(visits, 1000u) << "the sweep must run past its narrow first waves";
+  EXPECT_EQ(most, before);
+#else
+  GTEST_SKIP() << "counts threads through /proc/self/task";
+#endif
 }
 
 }  // namespace

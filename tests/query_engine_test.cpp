@@ -273,12 +273,18 @@ TEST(SlackRankingProperty, SeededNetworksRankingsBitIdenticalAcrossJobs) {
         const std::string label = "seed " + std::to_string(seed) + " engine " +
                                   (oracle ? "oracle" : "sweep") + " jobs " +
                                   std::to_string(jobs);
+        mc::BatchQueryStats batch_stats;
         const std::vector<mc::MaxClockResult> results =
             oracle ? std::vector<mc::MaxClockResult>{probe_max_clock_value(
                          net, pred, 0, 10'000, jobs_opts(jobs), 64, /*top_k=*/4)}
-                   : mc::max_clock_values(net, batch, jobs_opts(jobs));
+                   : mc::max_clock_values(net, batch, jobs_opts(jobs), &batch_stats);
         const mc::MaxClockResult& r = results.at(0);
         EXPECT_EQ(r.bounded, bounded) << label;
+        // An unbounded net escapes the hint and every widening candidate
+        // below the limit, so at jobs > 1 its widening rounds fan out.
+        if (!oracle && !bounded) {
+          EXPECT_GE(batch_stats.explorations, 4) << label << ": round 0 plus three widenings";
+        }
         if (bounded) {
           EXPECT_EQ(r.bound, hi) << label;
           ASSERT_FALSE(r.ranked.empty()) << label;

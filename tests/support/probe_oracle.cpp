@@ -14,13 +14,6 @@ using namespace psv::mc;
 
 namespace {
 
-/// Options for one exploration of a parallel batch of `n`: the thread
-/// budget is split evenly (results never depend on jobs, only wall clock).
-ExploreOptions split_jobs(ExploreOptions opts, std::size_t n) {
-  opts.jobs = std::max<unsigned>(1, resolve_jobs(opts.jobs) / std::max<std::size_t>(1, n));
-  return opts;
-}
-
 /// Extra extrapolation constants of one probe run (pred && clock > d): what
 /// a replayer must feed SuccGen to reproduce the probe's states bit-exactly.
 std::vector<std::int32_t> probe_consts(const ta::Network& net, const StateFormula& pred,
@@ -110,11 +103,10 @@ MaxClockResult probe_max_clock_value(const ta::Network& net, const StateFormula&
           if (!probed[i]->reachable) break;
         }
       } else {
-        const ExploreOptions per_probe = split_jobs(opts, thresholds.size());
         WorkerPool pool(static_cast<unsigned>(thresholds.size()) - 1);
         pool.parallel_for(thresholds.size(), [&](std::size_t i) {
           try {
-            probed[i].emplace(probe(net, pred, clock, thresholds[i], per_probe));
+            probed[i].emplace(probe(net, pred, clock, thresholds[i], opts));
           } catch (...) {
             errors[i] = std::current_exception();
           }

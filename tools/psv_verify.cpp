@@ -68,7 +68,7 @@ struct CliOptions {
   int sim_scenarios = 0;
   std::uint64_t seed = 2015;
   std::int64_t limit = 1'000'000;
-  unsigned jobs = 0;  // 0 = one worker per hardware thread
+  unsigned jobs = 0;  // 0 = one per hardware thread
   bool print_psm = false;
   bool slack_detail = false;
   int top_k = -1;  // -1 = the service default (mc::kDefaultTopK)
@@ -130,9 +130,10 @@ psv::cli::Parser make_parser(CliOptions& cli) {
               "dump the constructed PSM before verifying\n"
               "(single-model form only)");
   parser.flag("--jobs", &cli.jobs, "N",
-              "exploration worker threads (default: all hardware\n"
-              "threads; 1 = single-threaded; results are identical\n"
-              "for every value)");
+              "threads for the bound sweep's widening candidates,\n"
+              "at most 3 (default: all hardware threads; 1 =\n"
+              "single-threaded; each exploration runs on one\n"
+              "thread; results are identical for every value)");
   parser.flag("--slack", &cli.slack_detail,
               "print the detailed slack report per scheme: the\n"
               "top-K critical traces of every requirement's M-C\n"
