@@ -35,7 +35,7 @@ namespace psv::core {
 /// Wire-protocol version of every payload layout in this file.
 /// net::kProtocolVersion is this constant: the protocol has one version and
 /// no down-level layouts.
-inline constexpr std::uint16_t kPayloadVersion = 5;
+inline constexpr std::uint16_t kPayloadVersion = 6;
 
 /// A VerifyRequest as it travels the wire: program sources plus typed
 /// requirements and options. Scheme sources are index-aligned with the

@@ -237,37 +237,44 @@ std::size_t Verifier::pooled_sessions() const {
 void Verifier::adopt_ancestor_if_any(mc::VerificationSession& session) {
   // A session that already holds a store — warm-loaded from its own
   // artifact, or queried before — needs no ancestor: its memo (and its own
-  // store) already serve everything an ancestor could.
-  if (session.exported_store() != nullptr) return;
+  // store) already serve everything an ancestor could. The test neither
+  // reads nor decodes a warm-loaded store.
+  if (session.has_store()) return;
   const std::string skeleton = session.skeleton().hex();
-  std::shared_ptr<const mc::PassedStoreExport> ancestor;
+  std::shared_ptr<const mc::PassedStoreSource> source;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (const auto it = ancestors_.find(skeleton); it != ancestors_.end()) ancestor = it->second;
+    if (const auto it = ancestors_.find(skeleton); it != ancestors_.end()) source = it->second;
   }
-  if (ancestor == nullptr && store_.has_value()) {
+  // A published store left undecoded by its session's load is decoded here,
+  // once for every adopter; an invalid one (warned) means a cold run.
+  std::shared_ptr<const mc::PassedStoreExport> ancestor = source ? source->get() : nullptr;
+  if (source == nullptr && store_.has_value()) {
     // Disk fallback: the `.psvanc` pointer file names the artifact key of
     // the last session that exported a store for this skeleton. Any failure
     // (missing file, bad contents, evicted artifact) is a silent cold run.
-    const std::string pointer_path =
-        (std::filesystem::path(store_->dir()) / (skeleton + ".psvanc")).string();
-    std::ifstream pointer(pointer_path);
-    std::string key_hex;
-    if (pointer.good() && std::getline(pointer, key_hex)) {
-      if (const std::optional<Digest128> key = parse_digest_hex(key_hex); key.has_value()) {
-        if (std::optional<mc::VerificationArtifact> artifact =
-                store_->load(mc::ArtifactKey{*key});
-            artifact.has_value() && artifact->store.has_value() &&
-            artifact->skeleton == session.skeleton()) {
-          ancestor =
-              std::make_shared<const mc::PassedStoreExport>(std::move(*artifact->store));
-          std::lock_guard<std::mutex> lock(mu_);
-          ancestors_.emplace(skeleton, ancestor);
-        }
+    if (const std::optional<Digest128> key = read_ancestor_pointer(skeleton); key.has_value()) {
+      if (std::optional<mc::VerificationArtifact> artifact = store_->load(mc::ArtifactKey{*key});
+          artifact.has_value() && artifact->store.has_value() &&
+          artifact->skeleton == session.skeleton()) {
+        ancestor = std::make_shared<const mc::PassedStoreExport>(std::move(*artifact->store));
+        std::lock_guard<std::mutex> lock(mu_);
+        ancestors_.emplace(skeleton, std::make_shared<const mc::PassedStoreSource>(ancestor));
       }
     }
   }
   if (ancestor != nullptr) session.adopt_ancestor(std::move(ancestor));
+}
+
+std::string Verifier::ancestor_pointer_path(const std::string& skeleton_hex) const {
+  return (std::filesystem::path(store_->dir()) / (skeleton_hex + ".psvanc")).string();
+}
+
+std::optional<Digest128> Verifier::read_ancestor_pointer(const std::string& skeleton_hex) const {
+  std::ifstream pointer(ancestor_pointer_path(skeleton_hex));
+  std::string key_hex;
+  if (!pointer.good() || !std::getline(pointer, key_hex)) return std::nullopt;
+  return parse_digest_hex(key_hex);
 }
 
 void Verifier::pin_ancestor(const std::string& skeleton_hex) {
@@ -282,8 +289,7 @@ void Verifier::unpin_ancestor(const std::string& skeleton_hex) {
 }
 
 void Verifier::publish_ancestor(const mc::VerificationSession& session) {
-  std::shared_ptr<const mc::PassedStoreExport> exported = session.exported_store();
-  if (exported == nullptr) return;
+  if (!session.has_store()) return;
   const std::string skeleton = session.skeleton().hex();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -291,16 +297,19 @@ void Verifier::publish_ancestor(const mc::VerificationSession& session) {
     // pointer): every candidate of a synthesis fan-out warm-starts from the
     // SAME ancestor rather than from whichever sibling finished last.
     if (pinned_.count(skeleton) != 0 && ancestors_.count(skeleton) != 0) return;
-    ancestors_[skeleton] = exported;
+    ancestors_[skeleton] = session.store_source();
   }
   if (!store_.has_value()) return;
+  // Every stage of every request publishes, and a warm repeat publishes the
+  // pointer it read: skip the write when the pointer already names this
+  // session's artifact.
+  if (read_ancestor_pointer(skeleton) == session.cache_key().digest) return;
   // Point the skeleton at this session's artifact on disk (temp + rename so
   // concurrent publishers cannot tear the pointer). Best effort: a failed
   // write only costs a future cold start.
   try {
     std::filesystem::create_directories(store_->dir());
-    const std::string path =
-        (std::filesystem::path(store_->dir()) / (skeleton + ".psvanc")).string();
+    const std::string path = ancestor_pointer_path(skeleton);
     const std::string tmp = path + ".tmp." + std::to_string(std::random_device{}());
     {
       std::ofstream file(tmp, std::ios::trunc);

@@ -210,10 +210,18 @@ class Verifier {
   void adopt_ancestor_if_any(mc::VerificationSession& session);
 
   /// Publish `session`'s exported passed store as the warm-start ancestor
-  /// for its skeleton: into the in-memory index, and (when a cache directory
-  /// is active) as a `<skeleton-hex>.psvanc` pointer to the session's
-  /// artifact key so later processes find it too.
+  /// for its skeleton: into the in-memory index (undecoded, when the
+  /// session's load left it on disk), and (when a cache directory is
+  /// active) as a `<skeleton-hex>.psvanc` pointer to the session's artifact
+  /// key so later processes find it too. The pointer is rewritten only when
+  /// it names another key.
   void publish_ancestor(const mc::VerificationSession& session);
+
+  /// `<skeleton-hex>.psvanc` in the cache directory (store_ must be set).
+  std::string ancestor_pointer_path(const std::string& skeleton_hex) const;
+  /// The artifact key a skeleton's pointer file names; empty when the file
+  /// is missing or malformed (store_ must be set).
+  std::optional<Digest128> read_ancestor_pointer(const std::string& skeleton_hex) const;
 
   Config config_;
   /// The artifact cache of config_.cache_dir; empty when caching is off.
@@ -221,8 +229,9 @@ class Verifier {
   mutable std::mutex mu_;  ///< guards pool_, lru_ and ancestors_
   std::unordered_map<std::string, std::shared_ptr<Slot>> pool_;
   std::list<std::string> lru_;  ///< most recently used at the back
-  /// skeleton-digest hex -> newest exported passed store for that skeleton.
-  std::unordered_map<std::string, std::shared_ptr<const mc::PassedStoreExport>> ancestors_;
+  /// skeleton-digest hex -> newest exported passed store for that skeleton,
+  /// decoded by its first adopter.
+  std::unordered_map<std::string, std::shared_ptr<const mc::PassedStoreSource>> ancestors_;
   /// Skeletons whose ancestors_ entry is frozen (see pin_ancestor). The
   /// value counts nested pins.
   std::unordered_map<std::string, int> pinned_;

@@ -199,10 +199,7 @@ std::vector<std::uint8_t> VerificationArtifact::serialize() const {
     write_explore_stats(dl, deadlock.stats);
     out.raw(dl.buffer().data(), dl.size());
   }
-  // Format v4: skeleton digest, exported passed store.
   write_digest(out, skeleton);
-  out.boolean(store.has_value());
-  if (store.has_value()) write_passed_store(out, *store);
   return out.take();
 }
 
@@ -230,12 +227,130 @@ VerificationArtifact VerificationArtifact::deserialize(ByteReader& in) {
     artifact.deadlock.trace = read_trace(in);
     artifact.deadlock.stats = read_explore_stats(in);
   }
-  // Format v4 payload.
   artifact.skeleton = read_digest(in);
-  if (in.boolean()) artifact.store = read_passed_store(in);
-  PSV_REQUIRE_AS(::psv::ErrorCode::kProtocol, in.at_end(), "corrupt artifact: trailing bytes after payload");
+  PSV_REQUIRE_AS(::psv::ErrorCode::kProtocol, in.at_end(), "corrupt artifact: trailing bytes after memo");
   return artifact;
 }
+
+PassedStoreSource::PassedStoreSource(std::shared_ptr<const PassedStoreExport> store)
+    : store_(std::move(store)) {}
+
+PassedStoreSource::PassedStoreSource(Decode decode) : decode_(std::move(decode)) {}
+
+std::shared_ptr<const PassedStoreExport> PassedStoreSource::get() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (decode_) {
+    store_ = decode_();
+    decode_ = nullptr;
+    if (store_ == nullptr) failed_.store(true);
+  }
+  return store_;
+}
+
+namespace {
+
+/// magic + version + endian marker + key echo + (size + checksum) for the
+/// memo and the store section.
+constexpr std::size_t kHeaderSize = 4 + 4 + 2 + 16 + 2 * (8 + 16);
+
+/// The variable part of an artifact header.
+struct Header {
+  Digest128 key;
+  std::uint64_t memo_size = 0;
+  Digest128 memo_checksum;
+  std::uint64_t store_size = 0;  ///< 0: the artifact has no passed store
+  Digest128 store_checksum;
+
+};
+
+std::vector<std::uint8_t> encode_header(const Header& h) {
+  ByteWriter out;
+  out.reserve(kHeaderSize);
+  out.raw(kMagic, sizeof kMagic);
+  out.u32(kArtifactFormatVersion);
+  out.raw(&kEndianMarker, sizeof kEndianMarker);  // native order on purpose
+  write_digest(out, h.key);
+  out.u64(h.memo_size);
+  write_digest(out, h.memo_checksum);
+  out.u64(h.store_size);
+  write_digest(out, h.store_checksum);
+  return out.take();
+}
+
+/// Read and validate the fixed-size header of an open artifact file before
+/// anything else, so a large garbage file at the artifact path is rejected
+/// after kHeaderSize bytes instead of being slurped into memory wholesale.
+/// Throws psv::Error on any mismatch.
+Header read_header(std::ifstream& in, const ArtifactKey& key) {
+  std::uint8_t bytes[kHeaderSize];
+  in.read(reinterpret_cast<char*>(bytes), kHeaderSize);
+  PSV_REQUIRE_AS(ErrorCode::kIo, in.gcount() == static_cast<std::streamsize>(kHeaderSize),
+                 "truncated header");
+  ByteReader reader(bytes, kHeaderSize);
+  char magic[4];
+  reader.raw(magic, sizeof magic);
+  PSV_REQUIRE_AS(ErrorCode::kIo, std::memcmp(magic, kMagic, sizeof kMagic) == 0, "bad magic");
+  const std::uint32_t version = reader.u32();
+  PSV_REQUIRE_AS(ErrorCode::kIo, version == kArtifactFormatVersion,
+                 "format version " + std::to_string(version) + ", expected " +
+                     std::to_string(kArtifactFormatVersion));
+  std::uint16_t endian = 0;
+  reader.raw(&endian, sizeof endian);  // native order on purpose (see kEndianMarker)
+  PSV_REQUIRE_AS(ErrorCode::kIo, endian == kEndianMarker, "foreign byte order");
+  Header h;
+  h.key = read_digest(reader);
+  PSV_REQUIRE_AS(ErrorCode::kIo, h.key == key.digest, "key mismatch");
+  h.memo_size = reader.u64();
+  h.memo_checksum = read_digest(reader);
+  h.store_size = reader.u64();
+  h.store_checksum = read_digest(reader);
+  PSV_REQUIRE_AS(ErrorCode::kIo, h.store_size != 0 || h.store_checksum == Hasher128().digest(),
+                 "store section checksum mismatch");
+  // The declared section sizes must add up to the bytes actually on disk,
+  // so a corrupted size field can neither over-allocate nor under-read.
+  // Sized through the open stream — re-statting the path would race a
+  // concurrent writer's rename-publish of a newer artifact.
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  PSV_REQUIRE_AS(ErrorCode::kIo,
+                 end >= 0 && h.memo_size <= static_cast<std::uint64_t>(end) &&
+                     h.store_size <= static_cast<std::uint64_t>(end) &&
+                     static_cast<std::uint64_t>(end) == kHeaderSize + h.memo_size + h.store_size,
+                 "section sizes do not match the file size");
+  return h;
+}
+
+/// Read one section of `size` bytes at `offset` and verify its checksum.
+std::vector<std::uint8_t> read_section(std::ifstream& in, std::uint64_t offset, std::uint64_t size,
+                                       const Digest128& checksum, const char* name) {
+  in.seekg(static_cast<std::streamoff>(offset), std::ios::beg);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  in.read(reinterpret_cast<char*>(bytes.data()), static_cast<std::streamsize>(bytes.size()));
+  PSV_REQUIRE_AS(ErrorCode::kIo, in.gcount() == static_cast<std::streamsize>(bytes.size()),
+                 std::string("truncated ") + name + " section");
+  PSV_REQUIRE_AS(ErrorCode::kIo, digest128(bytes.data(), bytes.size()) == checksum,
+                 std::string(name) + " section checksum mismatch");
+  return bytes;
+}
+
+VerificationArtifact read_memo_section(std::ifstream& in, const Header& h) {
+  const std::vector<std::uint8_t> bytes =
+      read_section(in, kHeaderSize, h.memo_size, h.memo_checksum, "memo");
+  ByteReader reader(bytes);
+  return VerificationArtifact::deserialize(reader);
+}
+
+PassedStoreExport read_store_section(std::ifstream& in, const Header& h) {
+  const std::vector<std::uint8_t> bytes =
+      read_section(in, kHeaderSize + h.memo_size, h.store_size, h.store_checksum, "store");
+  ByteReader reader(bytes);
+  PassedStoreExport store = read_passed_store(reader);
+  PSV_REQUIRE_AS(ErrorCode::kProtocol, reader.at_end(),
+                 "corrupt artifact: trailing bytes after the passed store");
+  return store;
+}
+
+}  // namespace
 
 ArtifactStore::ArtifactStore(std::string dir, WarnFn warn)
     : dir_(std::move(dir)), warn_(std::move(warn)) {}
@@ -253,69 +368,64 @@ std::string ArtifactStore::path_of(const ArtifactKey& key) const {
 }
 
 std::optional<VerificationArtifact> ArtifactStore::load(const ArtifactKey& key) const {
-  // magic + version + endian marker + key echo + payload size + checksum.
-  constexpr std::size_t kHeaderSize = 4 + 4 + 2 + 16 + 8 + 16;
   const std::string path = path_of(key);
   std::ifstream in(path, std::ios::binary);
   if (!in.good()) return std::nullopt;  // plain miss: nothing cached yet
   try {
-    // Validate the fixed-size header before reading anything else, so a
-    // large garbage file at the artifact path is rejected after 50 bytes
-    // instead of being slurped into memory wholesale.
-    std::uint8_t header[kHeaderSize];
-    in.read(reinterpret_cast<char*>(header), kHeaderSize);
-    PSV_REQUIRE_AS(::psv::ErrorCode::kIo, in.gcount() == static_cast<std::streamsize>(kHeaderSize), "truncated header");
-    ByteReader reader(header, kHeaderSize);
-    char magic[4];
-    reader.raw(magic, sizeof magic);
-    PSV_REQUIRE_AS(::psv::ErrorCode::kIo, std::memcmp(magic, kMagic, sizeof kMagic) == 0, "bad magic");
-    const std::uint32_t version = reader.u32();
-    PSV_REQUIRE_AS(::psv::ErrorCode::kIo, version == kArtifactFormatVersion,
-                "format version " + std::to_string(version) + ", expected " +
-                    std::to_string(kArtifactFormatVersion));
-    std::uint16_t endian = 0;
-    reader.raw(&endian, sizeof endian);  // native order on purpose (see kEndianMarker)
-    PSV_REQUIRE_AS(::psv::ErrorCode::kIo, endian == kEndianMarker, "foreign byte order");
-    const Digest128 stored_key = read_digest(reader);
-    PSV_REQUIRE_AS(::psv::ErrorCode::kIo, stored_key == key.digest, "key mismatch");
-    const std::uint64_t payload_size = reader.u64();
-    const Digest128 checksum = read_digest(reader);
-    // The declared payload size must match the bytes actually on disk, so a
-    // corrupted size field can neither over-allocate nor under-read. Sized
-    // through the open stream — re-statting the path would race a
-    // concurrent writer's rename-publish of a newer artifact.
-    in.seekg(0, std::ios::end);
-    const std::streampos stream_end = in.tellg();
-    PSV_REQUIRE_AS(::psv::ErrorCode::kIo, stream_end >= 0 && static_cast<std::uint64_t>(stream_end) ==
-                                       kHeaderSize + payload_size,
-                "payload size mismatch");
-    in.seekg(static_cast<std::streamoff>(kHeaderSize), std::ios::beg);
-
-    std::vector<std::uint8_t> payload(static_cast<std::size_t>(payload_size));
-    in.read(reinterpret_cast<char*>(payload.data()),
-            static_cast<std::streamsize>(payload.size()));
-    PSV_REQUIRE_AS(::psv::ErrorCode::kIo, in.gcount() == static_cast<std::streamsize>(payload.size()),
-                "truncated payload");
-    PSV_REQUIRE_AS(::psv::ErrorCode::kIo, digest128(payload.data(), payload.size()) == checksum,
-                "payload checksum mismatch");
-    ByteReader payload_reader(payload);
-    return VerificationArtifact::deserialize(payload_reader);
+    const Header header = read_header(in, key);
+    VerificationArtifact artifact = read_memo_section(in, header);
+    if (header.store_size != 0) artifact.store = read_store_section(in, header);
+    return artifact;
   } catch (const Error& e) {
     warn("ignoring invalid artifact '" + path + "' (" + e.what() + "); re-exploring");
     return std::nullopt;
   }
 }
 
-bool ArtifactStore::store(const ArtifactKey& key, const VerificationArtifact& artifact) const {
-  const std::vector<std::uint8_t> payload = artifact.serialize();
-  ByteWriter out;
-  out.raw(kMagic, sizeof kMagic);
-  out.u32(kArtifactFormatVersion);
-  out.raw(&kEndianMarker, sizeof kEndianMarker);  // native order on purpose
-  write_digest(out, key.digest);
-  out.u64(payload.size());
-  write_digest(out, digest128(payload.data(), payload.size()));
-  out.raw(payload.data(), payload.size());
+std::optional<ArtifactStore::Memo> ArtifactStore::load_memo(const ArtifactKey& key) const {
+  const std::string path = path_of(key);
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) return std::nullopt;  // plain miss: nothing cached yet
+  try {
+    const Header header = read_header(in, key);
+    Memo memo{read_memo_section(in, header), nullptr};
+    if (header.store_size == 0) return memo;
+    // The store section is read on first use, through the header current
+    // at that time: a writer may have replaced the file since (same key, so
+    // the same network), and any verified store under this key is valid.
+    memo.store = std::make_shared<const PassedStoreSource>(
+        [store = *this, key, path]() -> std::shared_ptr<const PassedStoreExport> {
+          try {
+            std::ifstream file(path, std::ios::binary);
+            PSV_REQUIRE_AS(ErrorCode::kIo, file.good(), "cannot reopen the artifact");
+            const Header current = read_header(file, key);
+            PSV_REQUIRE_AS(ErrorCode::kIo, current.store_size != 0, "no store section");
+            return std::make_shared<const PassedStoreExport>(read_store_section(file, current));
+          } catch (const Error& e) {
+            store.warn("ignoring the passed store of invalid artifact '" + path + "' (" +
+                       e.what() + "); no warm start from it");
+            return nullptr;
+          }
+        });
+    return memo;
+  } catch (const Error& e) {
+    warn("ignoring invalid artifact '" + path + "' (" + e.what() + "); re-exploring");
+    return std::nullopt;
+  }
+}
+
+bool ArtifactStore::store(const ArtifactKey& key, const VerificationArtifact& memo,
+                          const PassedStoreExport* passed) const {
+  const std::vector<std::uint8_t> memo_bytes = memo.serialize();
+  ByteWriter store_bytes;
+  if (passed != nullptr) write_passed_store(store_bytes, *passed);
+  Header header;
+  header.key = key.digest;
+  header.memo_size = memo_bytes.size();
+  header.memo_checksum = digest128(memo_bytes.data(), memo_bytes.size());
+  header.store_size = store_bytes.size();
+  header.store_checksum = digest128(store_bytes.buffer().data(), store_bytes.size());
+  const std::vector<std::uint8_t> header_bytes = encode_header(header);
 
   std::string tmp;
   auto discard_tmp = [&tmp]() {
@@ -336,8 +446,11 @@ bool ArtifactStore::store(const ArtifactKey& key, const VerificationArtifact& ar
         discard_tmp();
         return false;
       }
-      file.write(reinterpret_cast<const char*>(out.buffer().data()),
-                 static_cast<std::streamsize>(out.size()));
+      for (const std::vector<std::uint8_t>* section :
+           {&header_bytes, &memo_bytes, &store_bytes.buffer()}) {
+        file.write(reinterpret_cast<const char*>(section->data()),
+                   static_cast<std::streamsize>(section->size()));
+      }
       if (!file.good()) {
         warn("short write on artifact '" + tmp + "'");
         discard_tmp();

@@ -20,16 +20,22 @@
 // traces, statistics — bit-identical to the cold run that stored them.
 //
 // Robustness: the on-disk format carries a magic, a format version, a native
-// endianness marker, an echo of the key, and a 128-bit payload checksum.
-// load() treats ANY mismatch — truncation, bit flips, version or endianness
-// drift, a foreign key — as a miss: one warning line, no crash, and the
-// caller falls back to exploration. Since format v4, the exported passed
-// store that warm-starts skeleton-equal successors is persisted alongside
-// the batch bounds and the shared flag sweep.
+// endianness marker, an echo of the key, and a size and a 128-bit checksum
+// for each of its two sections: the memo (bound batches, the shared flag
+// sweep, the skeleton digest) first, then the exported passed store that
+// warm-starts skeleton-equal successors. load() treats ANY mismatch —
+// truncation, bit flips, version or endianness drift, a foreign key — as a
+// miss: one warning line, no crash, and the caller falls back to
+// exploration. load_memo() reads and verifies the header and the memo
+// only, so a memo hit never reads the (much larger) store section; the
+// store is read, verified and decoded on first use.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -69,7 +75,11 @@ namespace psv::mc {
 /// bound-query statistic and critical-trace zone changed, and the passed
 /// store carries the L and U constant vectors instead of one max-constant
 /// vector.
-inline constexpr std::uint32_t kArtifactFormatVersion = 10;
+/// Version 11: the payload is split into a memo section and a passed-store
+/// section, each with its own size and checksum in the header, so the memo
+/// loads without reading the store; every digest (key, checksums, skeleton,
+/// query and edge digests) is the word-at-a-time Hasher128 fold.
+inline constexpr std::uint32_t kArtifactFormatVersion = 11;
 
 /// Content-addressed cache key; hex() names the artifact file.
 struct ArtifactKey {
@@ -104,7 +114,8 @@ Trace read_trace(ByteReader& in);
 /// so queries with different retention depths must not share a memo entry.
 Digest128 bound_query_digest(const BoundQuery& query);
 
-/// The serializable memo of a verification session.
+/// The serializable memo of a verification session, and the passed store
+/// persisted next to it.
 struct VerificationArtifact {
   struct BoundEntry {
     Digest128 query;        ///< bound_query_digest of the answered query
@@ -126,13 +137,42 @@ struct VerificationArtifact {
   Digest128 skeleton;
 
   /// Passed store of the session's last complete capture sweep (mc/store.h);
-  /// absent when no capture sweep completed.
+  /// absent when no capture sweep completed. Stored in its own section.
   std::optional<PassedStoreExport> store;
 
-  /// Payload encoding (header-less; ArtifactStore adds framing + checksum).
+  /// Memo-section encoding: everything above except `store`, which
+  /// write_passed_store encodes into the store section.
   std::vector<std::uint8_t> serialize() const;
-  /// Throws psv::Error on any malformed input; never reads out of bounds.
+  /// Inverse of serialize(); `store` stays empty. Throws psv::Error on any
+  /// malformed input; never reads out of bounds.
   static VerificationArtifact deserialize(ByteReader& in);
+};
+
+/// A passed store that is decoded on first use: either held decoded (a
+/// fresh capture), or left in its artifact's store section by
+/// ArtifactStore::load_memo and read, verified and decoded by the first
+/// get(). Thread-safe; shared between a session and the warm-start
+/// ancestor index, so one decode serves every adopter.
+class PassedStoreSource {
+ public:
+  using Decode = std::function<std::shared_ptr<const PassedStoreExport>()>;
+
+  explicit PassedStoreSource(std::shared_ptr<const PassedStoreExport> store);
+  /// `decode` runs at most once; it returns null (after warning) on failure.
+  explicit PassedStoreSource(Decode decode);
+
+  /// The decoded store; null when decoding failed.
+  std::shared_ptr<const PassedStoreExport> get() const;
+  /// False once decoding has failed; never decodes.
+  bool available() const { return !failed_.load(); }
+
+ private:
+  mutable std::mutex mu_;  ///< guards decode_ and store_; held while decoding
+  mutable Decode decode_;  ///< reset after its one run
+  mutable std::shared_ptr<const PassedStoreExport> store_;
+  /// Set after a failed decode; atomic so available() never waits for a
+  /// decode in progress.
+  mutable std::atomic<bool> failed_{false};
 };
 
 /// Directory-backed artifact store: one `<key-hex>.psvart` file per key.
@@ -149,13 +189,30 @@ class ArtifactStore {
   const std::string& dir() const { return dir_; }
   std::string path_of(const ArtifactKey& key) const;
 
-  /// Load the artifact for `key`. Missing file -> silent miss; invalid file
-  /// (truncated, bit-flipped, wrong version/endianness/key) -> warned miss.
+  /// Load the artifact for `key`, both sections verified and decoded.
+  /// Missing file -> silent miss; invalid file (truncated, bit-flipped,
+  /// wrong version/endianness/key) -> warned miss.
   std::optional<VerificationArtifact> load(const ArtifactKey& key) const;
 
-  /// Persist `artifact` under `key` (creating the directory if needed).
-  /// Returns false with a warning when the filesystem refuses.
-  bool store(const ArtifactKey& key, const VerificationArtifact& artifact) const;
+  /// The memo of an artifact, with its passed store left on disk.
+  struct Memo {
+    VerificationArtifact artifact;  ///< `store` is always empty
+    /// Reads, verifies and decodes the store section on first use (a
+    /// failure warns once and yields null); null when the artifact has no
+    /// store.
+    std::shared_ptr<const PassedStoreSource> store;
+  };
+  /// Load the header and the memo section of the artifact for `key`, with
+  /// load()'s miss semantics for everything it reads. The store section is
+  /// not read: only its size and checksum, from the header.
+  std::optional<Memo> load_memo(const ArtifactKey& key) const;
+
+  /// Persist `memo` with `passed` (may be null) as its store section under
+  /// `key`, creating the directory if needed; `memo.store` is not written,
+  /// so a caller holding its store elsewhere need not copy it into the
+  /// artifact. Returns false with a warning when the filesystem refuses.
+  bool store(const ArtifactKey& key, const VerificationArtifact& memo,
+             const PassedStoreExport* passed) const;
 
  private:
   void warn(const std::string& message) const;

@@ -47,8 +47,7 @@ std::vector<MaxClockResult> VerificationSession::answer_bounds(
     warm.ancestor = ancestor_ ? ancestor_.get() : nullptr;
     std::vector<MaxClockResult> answers =
         mc::max_clock_values(net_, fresh, opts_, &batch, flags, &warm);
-    if (warm.exported.has_value())
-      exported_ = std::make_shared<const PassedStoreExport>(std::move(*warm.exported));
+    if (warm.exported.has_value()) set_export(std::move(*warm.exported));
     // The batch total counts shared sweep work once (per-query stats
     // attribute shared explorations to every query they served).
     accumulate_stats(stats_.explore, batch.explore);
@@ -106,7 +105,7 @@ void VerificationSession::ensure_flag_sweep() {
   if (ancestor_) engine.set_ancestor(ancestor_.get());
   // A dedicated flag sweep visits the full space, so its store is as good
   // an export as a bounds sweep's; capture one if the session has none yet.
-  const bool capture = exported_ == nullptr;
+  const bool capture = !has_store();
   if (capture) engine.enable_capture();
   deadlock_ = engine.find_deadlock([this](const SymState& state, std::uint64_t) {
     for (std::size_t v = 0; v < state.vars.size(); ++v)
@@ -114,7 +113,7 @@ void VerificationSession::ensure_flag_sweep() {
   });
   if (capture) {
     if (std::optional<PassedStoreExport> exported = engine.take_export(); exported.has_value())
-      exported_ = std::make_shared<const PassedStoreExport>(std::move(*exported));
+      set_export(std::move(*exported));
   }
   accumulate_stats(stats_.explore, deadlock_.stats);
   ++stats_.explorations;
@@ -142,26 +141,32 @@ VerificationSession::FlagReport VerificationSession::check_flags(
   return report;
 }
 
+void VerificationSession::set_export(PassedStoreExport exported) {
+  exported_ = std::make_shared<const PassedStoreSource>(
+      std::make_shared<const PassedStoreExport>(std::move(exported)));
+}
+
 bool VerificationSession::load(const ArtifactStore& store) {
-  std::optional<VerificationArtifact> artifact = store.load(cache_key_);
-  if (!artifact) return false;
-  if (artifact->has_flag_sweep &&
-      artifact->var_seen_one.size() != static_cast<std::size_t>(net_.num_vars())) {
+  std::optional<ArtifactStore::Memo> memo = store.load_memo(cache_key_);
+  if (!memo) return false;
+  VerificationArtifact& artifact = memo->artifact;
+  if (artifact.has_flag_sweep &&
+      artifact.var_seen_one.size() != static_cast<std::size_t>(net_.num_vars())) {
     // A hash collision would be required to get here; treat it as a miss.
     return false;
   }
-  for (VerificationArtifact::BoundEntry& entry : artifact->bounds) {
+  for (VerificationArtifact::BoundEntry& entry : artifact.bounds) {
     if (bound_cache_.emplace(entry.query, std::move(entry.result)).second)
       ++stats_.entries_loaded;
   }
-  // Carry the persisted store forward: it is this session's export until a
-  // fresh capture sweep replaces it, so a warm-loaded session can still seed
-  // skeleton-equal successors (and a later store() keeps persisting it).
-  if (exported_ == nullptr && artifact->store.has_value())
-    exported_ = std::make_shared<const PassedStoreExport>(std::move(*artifact->store));
-  if (artifact->has_flag_sweep && !flag_sweep_done_) {
-    var_seen_one_.assign(artifact->var_seen_one.begin(), artifact->var_seen_one.end());
-    deadlock_ = std::move(artifact->deadlock);
+  // Carry the persisted store forward, undecoded: it is this session's
+  // export until a fresh capture sweep replaces it, so a warm-loaded session
+  // can still seed skeleton-equal successors (and a later store() keeps
+  // persisting it). A memo hit never needs it, so it stays on disk.
+  if (exported_ == nullptr) exported_ = std::move(memo->store);
+  if (artifact.has_flag_sweep && !flag_sweep_done_) {
+    var_seen_one_.assign(artifact.var_seen_one.begin(), artifact.var_seen_one.end());
+    deadlock_ = std::move(artifact.deadlock);
     flag_sweep_done_ = true;
     ++stats_.entries_loaded;
   }
@@ -185,8 +190,8 @@ bool VerificationSession::store(const ArtifactStore& store) const {
     artifact.deadlock = deadlock_;
   }
   artifact.skeleton = skeleton_;
-  if (exported_ != nullptr) artifact.store = *exported_;
-  return store.store(cache_key_, artifact);
+  const std::shared_ptr<const PassedStoreExport> passed = exported_store();
+  return store.store(cache_key_, artifact, passed.get());
 }
 
 StageCacheStats stage_cache_delta(const VerificationSession& session, const SessionStats& before,

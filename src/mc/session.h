@@ -122,8 +122,20 @@ class VerificationSession {
 
   /// The passed store this session can hand to a skeleton-equal successor:
   /// the export of its last complete capture sweep, or the store a warm
-  /// load() brought in. Null when neither exists (no complete sweep yet).
-  std::shared_ptr<const PassedStoreExport> exported_store() const { return exported_; }
+  /// load() brought in, decoded from its artifact section on this first
+  /// call. Null when neither exists (no complete sweep yet) or when the
+  /// loaded store section is invalid (warned once, through the store).
+  std::shared_ptr<const PassedStoreExport> exported_store() const {
+    return exported_ != nullptr ? exported_->get() : nullptr;
+  }
+
+  /// Whether exported_store() has a store to give, without reading or
+  /// decoding it: false without one, or once its decode has failed.
+  bool has_store() const { return exported_ != nullptr && exported_->available(); }
+
+  /// The store behind exported_store(), still undecoded when it came from
+  /// load(), so an ancestor index can hold it without decoding it.
+  const std::shared_ptr<const PassedStoreSource>& store_source() const { return exported_; }
 
   /// ta::skeleton_digest of the session network: the structural key under
   /// which ancestor stores are matched.
@@ -135,11 +147,15 @@ class VerificationSession {
   /// Returns true when an artifact was loaded; a missing or invalid file is
   /// a miss (invalid ones warn through the store), never an error. Queries
   /// already answered are kept; call load() before querying for full effect.
+  /// Only the header and the memo section are read: the passed store stays
+  /// on disk until exported_store(), store() or an adopter needs it.
   bool load(const ArtifactStore& store);
 
   /// Persist the memo (answered bounds, the shared flag sweep, and the
   /// exported passed store) under cache_key(). Skips the write and returns
   /// false when the session holds nothing beyond what load() brought in.
+  /// The store is encoded by reference, decoded first if load() left it on
+  /// disk.
   bool store(const ArtifactStore& store) const;
 
   /// True when load() populated this session from a persistent artifact.
@@ -179,10 +195,13 @@ class VerificationSession {
 
   std::unordered_map<Digest128, MaxClockResult, Digest128Hash> bound_cache_;
 
+  /// Replace exported_ with a fresh capture.
+  void set_export(PassedStoreExport exported);
+
   // Incremental exploration: the adopted ancestor store and this session's
-  // own export (fresh capture, or carried over from a warm load).
+  // own export (fresh capture, or carried over undecoded from a warm load).
   std::shared_ptr<const PassedStoreExport> ancestor_;
-  std::shared_ptr<const PassedStoreExport> exported_;
+  std::shared_ptr<const PassedStoreSource> exported_;
 };
 
 /// Per-stage cache accounting: the delta of `session`'s stats since

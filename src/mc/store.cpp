@@ -17,16 +17,17 @@ void hash_cc(Hasher128& h, const ta::ClockConstraint& cc) {
 }
 
 void write_zone(ByteWriter& out, const dbm::Dbm& zone) {
-  const int dim = zone.dim();
-  for (int i = 0; i < dim; ++i)
-    for (int j = 0; j < dim; ++j) out.i32(zone.at(i, j));
+  const auto dim = static_cast<std::size_t>(zone.dim());
+  out.i32s(zone.raw(), dim * dim);  // row-major, as raw() holds it
 }
 
 dbm::Dbm read_zone(ByteReader& in, int num_clocks) {
   dbm::Dbm zone(num_clocks);
   const int dim = zone.dim();
+  std::vector<dbm::raw_t> entries(static_cast<std::size_t>(dim) * static_cast<std::size_t>(dim));
+  in.i32s(entries.data(), entries.size());
   for (int i = 0; i < dim; ++i)
-    for (int j = 0; j < dim; ++j) zone.set(i, j, in.i32());
+    for (int j = 0; j < dim; ++j) zone.set(i, j, entries[static_cast<std::size_t>(i * dim + j)]);
   zone.canonicalize();
   PSV_REQUIRE_AS(ErrorCode::kProtocol, !zone.empty(),
                  "passed-store payload carries an empty zone");
@@ -43,6 +44,27 @@ Digest128 read_digest(ByteReader& in) {
   d.hi = in.u64();
   d.lo = in.u64();
   return d;
+}
+
+/// Exact byte count write_passed_store appends for `store`, so the 20+ MB
+/// payload of a large store is written into a buffer sized once.
+std::size_t encoded_size(const PassedStoreExport& store) {
+  auto digest_table = [](const std::vector<std::vector<Digest128>>& table) {
+    std::size_t n = 8;
+    for (const auto& row : table) n += 8 + 16 * row.size();
+    return n;
+  };
+  auto zone = [](const dbm::Dbm& z) {
+    return 4 * static_cast<std::size_t>(z.dim()) * static_cast<std::size_t>(z.dim());
+  };
+  std::size_t n = 4 * 4 + 2 * 8 + 4 * (store.lower.size() + store.upper.size()) +
+                  digest_table(store.edge_digests) + digest_table(store.inv_digests) + 8;
+  for (const StoreEntry& entry : store.entries) {
+    n += 8 + 8 + 8 * entry.edges.size() + 4 * entry.locs.size() + 8 * entry.vars.size() +
+         zone(entry.zone) + 1 + (entry.pre_differs ? zone(entry.pre_zone) : 0) + 8 +
+         8 * entry.covers.size();
+  }
+  return n;
 }
 
 }  // namespace
@@ -89,6 +111,7 @@ std::vector<std::vector<Digest128>> invariant_digests(const ta::Network& net) {
 }
 
 void write_passed_store(ByteWriter& out, const PassedStoreExport& store) {
+  out.reserve(encoded_size(store));
   out.u32(kStorePayloadVersion);
   out.i32(store.num_clocks);
   out.i32(store.num_vars);

@@ -11,7 +11,7 @@
 //        7     1  reserved (must be 0)
 //        8     8  request id (u64) — 0 for connection-level frames
 //       16     4  payload size (u32, bytes following the header)
-//       20     8  payload checksum (u64) — low half of FNV-1a-128 digest
+//       20     8  payload checksum (u64) — low half of the Hasher128 digest
 //       28     …  payload (frame-type specific, see below)
 //
 // Version negotiation: the client opens with kHello carrying the highest
@@ -58,8 +58,10 @@ namespace psv::net {
 /// from peers. Bump core::kPayloadVersion when the frame or payload
 /// encoding changes. Version 5: the request options lost the bound-engine
 /// tag and the cache directory (the daemon's own --cache-dir is the only
-/// one it writes to). The floor equals the ceiling: no peer speaks a
-/// down-level layout, so no payload carries a version gate.
+/// one it writes to). Version 6: the payload checksum is the word-at-a-time
+/// Hasher128 fold, so a version-5 peer's checksums would not verify. The
+/// floor equals the ceiling: no peer speaks a down-level layout, so no
+/// payload carries a version gate.
 inline constexpr std::uint16_t kProtocolVersion = core::kPayloadVersion;
 inline constexpr std::uint16_t kMinSupportedVersion = kProtocolVersion;
 

@@ -1,5 +1,7 @@
 #include "util/hash.h"
 
+#include <cstring>
+
 namespace psv {
 
 namespace {
@@ -37,6 +39,16 @@ inline void mul_prime(std::uint64_t& hi, std::uint64_t& lo) {
   lo = prod_lo;
 }
 
+/// Little-endian 8-byte load.
+inline std::uint64_t load_le64(const unsigned char* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+  v = __builtin_bswap64(v);
+#endif
+  return v;
+}
+
 constexpr char kHexDigits[] = "0123456789abcdef";
 
 void append_hex64(std::string& out, std::uint64_t v) {
@@ -54,12 +66,35 @@ std::string Digest128::hex() const {
   return out;
 }
 
+void Hasher128::fold(std::uint64_t word) {
+  lo_ ^= word;
+  mul_prime(hi_, lo_);
+}
+
 Hasher128& Hasher128::bytes(const void* data, std::size_t size) {
   const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    lo_ ^= p[i];
-    mul_prime(hi_, lo_);
+  std::size_t have = static_cast<std::size_t>(total_ % 8);  // buffered tail bytes
+  total_ += size;
+  // Top up a buffered partial word first; whole words then fold straight
+  // from the input, and what is left over becomes the new tail.
+  for (; have != 0 && size != 0; ++p, --size) {
+    tail_ |= static_cast<std::uint64_t>(*p) << (8 * have);
+    if (++have == 8) {
+      fold(tail_);
+      tail_ = 0;
+      have = 0;
+    }
   }
+  // The state lives in locals here: the input may alias it as far as the
+  // compiler knows, and a store per word would serialize the loop.
+  std::uint64_t hi = hi_, lo = lo_;
+  for (; size >= 8; p += 8, size -= 8) {
+    lo ^= load_le64(p);
+    mul_prime(hi, lo);
+  }
+  hi_ = hi;
+  lo_ = lo;
+  for (std::size_t i = 0; i < size; ++i) tail_ |= static_cast<std::uint64_t>(p[i]) << (8 * i);
   return *this;
 }
 
@@ -82,7 +117,13 @@ Hasher128& Hasher128::str(std::string_view s) {
   return bytes(s.data(), s.size());
 }
 
-Digest128 Hasher128::digest() const { return {hi_, lo_}; }
+Digest128 Hasher128::digest() const {
+  if (total_ == 0) return {hi_, lo_};
+  Hasher128 end = *this;
+  if (total_ % 8 != 0) end.fold(tail_);
+  end.fold(total_);
+  return {end.hi_, end.lo_};
+}
 
 Digest128 digest128(const void* data, std::size_t size) {
   Hasher128 h;

@@ -1,10 +1,16 @@
 // Stable 128-bit content hashing for cache keys and artifact checksums.
 //
-// FNV-1a widened to 128 bits: the digest of a byte sequence is a pure
-// function of the bytes — independent of platform, process, pointer layout
-// or std::hash salting — so digests computed in one run key artifacts that
-// another run (or another machine) looks up. 128 bits keep accidental
-// collisions out of reach for content-addressed storage.
+// FNV-1a's xor-then-multiply step over 128 bits, folded a whole 8-byte
+// little-endian word at a time (one 128-bit multiply per word instead of
+// one per byte). Partial words are buffered, so the digest of a byte
+// sequence is a pure function of the concatenated bytes — independent of
+// how they were split across bytes() calls, of platform, process, pointer
+// layout or std::hash salting — and digests computed in one run key
+// artifacts that another run (or another machine) looks up. A non-empty
+// stream ends with its zero-padded partial word (if any) and its byte
+// count, so "a" and "a\0" differ; the empty stream is the FNV-1a offset
+// basis. 128 bits keep accidental collisions out of reach for
+// content-addressed storage.
 //
 // Callers feed structured data through the typed appenders (fixed-width
 // little-endian integers, length-prefixed strings), which makes the stream
@@ -42,7 +48,8 @@ struct Digest128Hash {
   }
 };
 
-/// Streaming 128-bit FNV-1a hasher with typed, self-delimiting appenders.
+/// Streaming 128-bit word-at-a-time FNV-1a hasher with typed,
+/// self-delimiting appenders.
 class Hasher128 {
  public:
   Hasher128& bytes(const void* data, std::size_t size);
@@ -57,9 +64,14 @@ class Hasher128 {
   Digest128 digest() const;
 
  private:
+  /// One FNV-1a step over a whole word: xor into the low lane, multiply.
+  void fold(std::uint64_t word);
+
   // FNV-1a 128-bit offset basis, split into 64-bit words.
   std::uint64_t hi_ = 0x6c62272e07bb0142ull;
   std::uint64_t lo_ = 0x62b821756295c58dull;
+  std::uint64_t total_ = 0;  ///< bytes appended so far
+  std::uint64_t tail_ = 0;   ///< buffered partial word, little-endian
 };
 
 /// One-shot digest of a byte buffer.

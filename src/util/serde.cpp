@@ -6,17 +6,42 @@
 
 namespace psv {
 
+namespace {
+
+/// Where the host's integer layout is the little-endian encoding, arrays
+/// of integers are copied wholesale instead of byte by byte.
+constexpr bool kLittleEndianHost =
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    true;
+#else
+    false;
+#endif
+
+}  // namespace
+
 void ByteWriter::u16(std::uint16_t v) {
   u8(static_cast<std::uint8_t>(v));
   u8(static_cast<std::uint8_t>(v >> 8));
 }
 
 void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  const std::size_t at = buf_.size();
+  buf_.resize(at + 4);
+  for (int i = 0; i < 4; ++i) buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  const std::size_t at = buf_.size();
+  buf_.resize(at + 8);
+  for (int i = 0; i < 8; ++i) buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+void ByteWriter::i32s(const std::int32_t* values, std::size_t count) {
+  if constexpr (kLittleEndianHost) {
+    raw(values, 4 * count);  // the host layout is the encoding
+  } else {
+    for (std::size_t i = 0; i < count; ++i) i32(values[i]);
+  }
 }
 
 void ByteWriter::str(const std::string& s) {
@@ -58,6 +83,18 @@ std::uint64_t ByteReader::u64() {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
   return v;
+}
+
+void ByteReader::i32s(std::int32_t* out, std::size_t count) {
+  PSV_REQUIRE_AS(::psv::ErrorCode::kProtocol, count <= remaining() / 4,
+                 "truncated binary artifact: need " + std::to_string(count) + " i32 values, " +
+                     std::to_string(remaining()) + " bytes left");
+  if constexpr (kLittleEndianHost) {
+    std::memcpy(out, data_ + pos_, 4 * count);  // the encoding is the host layout
+    pos_ += 4 * count;
+  } else {
+    for (std::size_t i = 0; i < count; ++i) out[i] = i32();
+  }
 }
 
 bool ByteReader::boolean() {

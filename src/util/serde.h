@@ -1,11 +1,12 @@
 // Small versioned binary (de)serialization helpers for persistent artifacts.
 //
 // The encoding is deliberately dumb and stable: fixed-width little-endian
-// integers written byte-by-byte (no memcpy of host-endian words), strings and
-// blobs length-prefixed. ByteReader is fully bounds-checked — every read
-// validates the remaining size and throws psv::Error on truncation or
-// overflow, so a corrupted or hostile file can never read out of bounds;
-// callers that must never fail (cache loaders) catch the error and fall back.
+// integers written byte-by-byte (arrays of them are copied wholesale only on
+// hosts whose layout is little-endian), strings and blobs length-prefixed.
+// ByteReader is fully bounds-checked — every read validates the remaining
+// size and throws psv::Error on truncation or overflow, so a corrupted or
+// hostile file can never read out of bounds; callers that must never fail
+// (cache loaders) catch the error and fall back.
 #pragma once
 
 #include <cstddef>
@@ -30,6 +31,11 @@ class ByteWriter {
   /// Length-prefixed string.
   void str(const std::string& s);
   void raw(const void* data, std::size_t size);
+  /// `count` consecutive i32 values, as count i32() calls would write them.
+  void i32s(const std::int32_t* values, std::size_t count);
+  /// Pre-size the buffer for `size` more bytes, so a payload of known
+  /// length is written without regrowing.
+  void reserve(std::size_t size) { buf_.reserve(buf_.size() + size); }
 
   const std::vector<std::uint8_t>& buffer() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
@@ -53,6 +59,8 @@ class ByteReader {
   std::uint64_t u64();
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+  /// `count` consecutive i32 values, as count i32() calls would read them.
+  void i32s(std::int32_t* out, std::size_t count);
   bool boolean();
   /// Length-prefixed string; the length is validated against the remainder.
   std::string str();

@@ -13,9 +13,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <sys/stat.h>
 
 #include "core/analysis.h"
 #include "dbm/dbm.h"
@@ -189,11 +192,24 @@ void expect_artifacts_equal(const mc::VerificationArtifact& a, const mc::Verific
   }
 }
 
+/// Persist a whole artifact, its store included, under `key`.
+bool store_artifact(const mc::ArtifactStore& store, const mc::ArtifactKey& key,
+                    const mc::VerificationArtifact& artifact) {
+  return store.store(key, artifact, artifact.store.has_value() ? &*artifact.store : nullptr);
+}
+
 TEST(Artifact, PayloadRoundTrip) {
+  // Both sections: the memo (everything but the store) and the store.
   const mc::VerificationArtifact original = sample_artifact();
-  const std::vector<std::uint8_t> payload = original.serialize();
-  ByteReader reader(payload);
-  const mc::VerificationArtifact restored = mc::VerificationArtifact::deserialize(reader);
+  const std::vector<std::uint8_t> memo = original.serialize();
+  ByteReader memo_reader(memo);
+  mc::VerificationArtifact restored = mc::VerificationArtifact::deserialize(memo_reader);
+  EXPECT_FALSE(restored.store.has_value()) << "the store travels in its own section";
+  ByteWriter store;
+  mc::write_passed_store(store, *original.store);
+  ByteReader store_reader(store.buffer());
+  restored.store = mc::read_passed_store(store_reader);
+  EXPECT_TRUE(store_reader.at_end());
   expect_artifacts_equal(original, restored);
 }
 
@@ -206,7 +222,7 @@ TEST(Artifact, StoreLoadRoundTrip) {
   EXPECT_EQ(warnings, 0);
 
   const mc::VerificationArtifact original = sample_artifact();
-  ASSERT_TRUE(store.store(key, original));
+  ASSERT_TRUE(store_artifact(store, key, original));
   const auto restored = store.load(key);
   ASSERT_TRUE(restored.has_value());
   expect_artifacts_equal(original, *restored);
@@ -228,14 +244,26 @@ void write_file_bytes(const std::string& path, const std::vector<std::uint8_t>& 
             static_cast<std::streamsize>(bytes.size()));
 }
 
+/// Offset of the memo-section size in an artifact header: magic, version,
+/// endian marker and key echo precede it; the memo's checksum, the store's
+/// size and checksum follow, then the memo and the store sections.
+constexpr std::size_t kMemoSizeOffset = 4 + 4 + 2 + 16;
+constexpr std::size_t kArtifactHeaderSize = kMemoSizeOffset + 2 * (8 + 16);
+
+std::uint64_t memo_section_size(const std::vector<std::uint8_t>& file) {
+  ByteReader in(file.data() + kMemoSizeOffset, 8);
+  return in.u64();
+}
+
 TEST(ArtifactHardening, EverySingleBitFlipIsRejected) {
   TempCacheDir dir;
   int warnings = 0;
   mc::ArtifactStore store(dir.str(), [&warnings](const std::string&) { ++warnings; });
   const mc::ArtifactKey key{Digest128{0x5151, 0x2323}};
-  ASSERT_TRUE(store.store(key, sample_artifact()));
+  ASSERT_TRUE(store_artifact(store, key, sample_artifact()));
   const std::vector<std::uint8_t> pristine = stored_file_bytes(store, key);
-  ASSERT_FALSE(pristine.empty());
+  ASSERT_LT(kArtifactHeaderSize + memo_section_size(pristine), pristine.size())
+      << "the flips must cover a memo and a store section";
 
   std::vector<std::uint8_t> fuzzed = pristine;
   for (std::size_t byte = 0; byte < pristine.size(); ++byte) {
@@ -253,12 +281,62 @@ TEST(ArtifactHardening, EverySingleBitFlipIsRejected) {
   EXPECT_TRUE(store.load(key).has_value()) << "restored pristine bytes must load again";
 }
 
+// A memo load reads the header and the memo only: every flip it can see
+// is a warned miss, and every flip it cannot see (in the store section or
+// the store's checksum field) makes the store warn and decode to nothing —
+// a corrupt byte is never served.
+TEST(ArtifactHardening, MemoLoadNeverServesAFlippedByte) {
+  TempCacheDir dir;
+  int warnings = 0;
+  mc::ArtifactStore store(dir.str(), [&warnings](const std::string&) { ++warnings; });
+  const mc::ArtifactKey key{Digest128{0x6161, 0x4343}};
+  ASSERT_TRUE(store_artifact(store, key, sample_artifact()));
+  const std::vector<std::uint8_t> pristine = stored_file_bytes(store, key);
+  const std::size_t store_start = kArtifactHeaderSize + memo_section_size(pristine);
+  ASSERT_LT(store_start, pristine.size()) << "the sample carries a store section";
+
+  std::vector<std::uint8_t> fuzzed = pristine;
+  std::size_t deferred = 0;
+  for (std::size_t byte = 0; byte < pristine.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      fuzzed[byte] = pristine[byte] ^ static_cast<std::uint8_t>(1u << bit);
+      write_file_bytes(store.path_of(key), fuzzed);
+      const int before = warnings;
+      std::optional<mc::ArtifactStore::Memo> memo = store.load_memo(key);
+      if (byte >= kArtifactHeaderSize && byte < store_start) {
+        EXPECT_FALSE(memo.has_value()) << "memo byte " << byte << " bit " << bit << " loaded";
+      }
+      if (memo.has_value()) {
+        ++deferred;
+        EXPECT_EQ(warnings, before) << "a memo hit must not warn";
+        ASSERT_NE(memo->store, nullptr);
+        EXPECT_EQ(memo->store->get(), nullptr) << "byte " << byte << " bit " << bit;
+        EXPECT_FALSE(memo->store->available());
+        EXPECT_EQ(memo->store->get(), nullptr);
+      }
+      EXPECT_EQ(warnings, before + 1) << "byte " << byte << " bit " << bit << " warned "
+                                      << warnings - before << " times";
+      fuzzed[byte] = pristine[byte];
+    }
+  }
+  EXPECT_GE(deferred, 8 * (pristine.size() - store_start)) << "store flips wait for the store";
+
+  write_file_bytes(store.path_of(key), pristine);
+  std::optional<mc::ArtifactStore::Memo> memo = store.load_memo(key);
+  ASSERT_TRUE(memo.has_value());
+  ASSERT_NE(memo->store, nullptr);
+  ASSERT_NE(memo->store->get(), nullptr);
+  mc::VerificationArtifact restored = memo->artifact;
+  restored.store = *memo->store->get();
+  expect_artifacts_equal(sample_artifact(), restored);
+}
+
 TEST(ArtifactHardening, EveryTruncationIsRejected) {
   TempCacheDir dir;
   int warnings = 0;
   mc::ArtifactStore store(dir.str(), [&warnings](const std::string&) { ++warnings; });
   const mc::ArtifactKey key{Digest128{0x7777, 0x8888}};
-  ASSERT_TRUE(store.store(key, sample_artifact()));
+  ASSERT_TRUE(store_artifact(store, key, sample_artifact()));
   const std::vector<std::uint8_t> pristine = stored_file_bytes(store, key);
 
   for (std::size_t cut = 0; cut < pristine.size(); ++cut) {
@@ -280,7 +358,7 @@ TEST(ArtifactHardening, VersionAndEndiannessMismatchesAreRejected) {
   std::vector<std::string> warnings;
   mc::ArtifactStore store(dir.str(), [&warnings](const std::string& w) { warnings.push_back(w); });
   const mc::ArtifactKey key{Digest128{0x9999, 0xaaaa}};
-  ASSERT_TRUE(store.store(key, sample_artifact()));
+  ASSERT_TRUE(store_artifact(store, key, sample_artifact()));
   const std::vector<std::uint8_t> pristine = stored_file_bytes(store, key);
 
   // Format version lives right after the 4-byte magic, little-endian.
@@ -504,7 +582,7 @@ TEST(SessionPersistence, RenameAndDeclReorderMissWithEqualBounds) {
   EXPECT_EQ(warm_result.bound, cold_result.bound);
 }
 
-TEST(SessionPersistence, CorruptArtifactFallsBackToExploration) {
+TEST(SessionPersistence, CorruptMemoSectionFallsBackToExploration) {
   TempCacheDir dir;
   int warnings = 0;
   mc::ArtifactStore store(dir.str(), [&warnings](const std::string&) { ++warnings; });
@@ -514,12 +592,12 @@ TEST(SessionPersistence, CorruptArtifactFallsBackToExploration) {
     cold.max_clock_value(tiny_query(net));
     ASSERT_TRUE(cold.store(store));
   }
-  // Corrupt the stored file in the middle of the payload.
+  // Corrupt the stored file in the middle of the memo section.
   mc::VerificationSession probe_session(net, {});
   const std::string path = store.path_of(probe_session.cache_key());
   std::vector<std::uint8_t> bytes = stored_file_bytes(store, probe_session.cache_key());
-  ASSERT_GT(bytes.size(), 60u);
-  bytes[bytes.size() / 2] ^= 0x10;
+  ASSERT_GT(bytes.size(), kArtifactHeaderSize);
+  bytes[kArtifactHeaderSize + memo_section_size(bytes) / 2] ^= 0x10;
   write_file_bytes(path, bytes);
 
   EXPECT_FALSE(probe_session.load(store));
@@ -528,6 +606,44 @@ TEST(SessionPersistence, CorruptArtifactFallsBackToExploration) {
   ASSERT_TRUE(result.bounded);
   EXPECT_EQ(result.bound, 30);
   EXPECT_GT(probe_session.stats().explorations, 0) << "must have re-explored";
+}
+
+// A flip in the store section is invisible to a memo hit: the memo answers
+// without exploring and without a warning, and only asking for the store
+// reads the section, warns once and yields nothing.
+TEST(SessionPersistence, CorruptStoreSectionServesTheMemo) {
+  TempCacheDir dir;
+  int warnings = 0;
+  mc::ArtifactStore store(dir.str(), [&warnings](const std::string&) { ++warnings; });
+  const Network net = tiny_net();
+  mc::MaxClockResult cold_result;
+  {
+    mc::VerificationSession cold(net, {});
+    cold_result = cold.max_clock_value(tiny_query(net));
+    cold.check_flags({});
+    ASSERT_NE(cold.exported_store(), nullptr);
+    ASSERT_TRUE(cold.store(store));
+  }
+  mc::VerificationSession warm(net, {});
+  std::vector<std::uint8_t> bytes = stored_file_bytes(store, warm.cache_key());
+  ASSERT_GT(bytes.size(), kArtifactHeaderSize + memo_section_size(bytes)) << "no store section";
+  bytes[bytes.size() - 3] ^= 0x04;
+  write_file_bytes(store.path_of(warm.cache_key()), bytes);
+
+  ASSERT_TRUE(warm.load(store));
+  EXPECT_TRUE(warm.has_store()) << "the store is not read before it is asked for";
+  const mc::MaxClockResult warm_result = warm.max_clock_value(tiny_query(net));
+  warm.check_flags({});
+  EXPECT_EQ(warm.stats().explorations, 0);
+  EXPECT_EQ(warm_result.bound, cold_result.bound);
+  EXPECT_EQ(warm_result.witness.to_string(), cold_result.witness.to_string());
+  EXPECT_EQ(warnings, 0) << "a memo hit never reads the store section";
+
+  EXPECT_EQ(warm.exported_store(), nullptr);
+  EXPECT_EQ(warnings, 1);
+  EXPECT_EQ(warm.exported_store(), nullptr);
+  EXPECT_EQ(warnings, 1) << "the store section warns once";
+  EXPECT_FALSE(warm.has_store());
 }
 
 // --- Pipeline-level warm/cold differential ---------------------------------
@@ -681,6 +797,116 @@ core::VerifyRequest quickstart_request(const std::string& model_text,
   source.scheme_sources = {scheme_text};
   source.requirements = {{"QREQ", "Req", "Ack", 80}};
   return core::to_verify_request(source);
+}
+
+/// Inode of every `.psvanc` pointer in `dir`, by file name: a rewrite goes
+/// through a temp file and a rename, so it always shows up as a new inode.
+std::map<std::string, ino_t> pointer_inodes(const std::filesystem::path& dir) {
+  std::map<std::string, ino_t> inodes;
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    if (file.path().extension() != ".psvanc") continue;
+    struct stat st {};
+    EXPECT_EQ(::stat(file.path().c_str(), &st), 0) << file.path();
+    inodes[file.path().filename().string()] = st.st_ino;
+  }
+  return inodes;
+}
+
+// Every stage publishes its store as its skeleton's ancestor, but a
+// pointer that already names the stage's artifact is left alone: a warm
+// repeat rewrites no pointer, and an edit rewrites only its own stage's.
+TEST(WarmColdDifferential, PublishRewritesOnlyChangedAncestorPointers) {
+  const std::string model = read_model("quickstart.psv");
+  const std::string scheme = read_model("fast.pss");
+  std::string edited_scheme = scheme;
+  const std::size_t ack_delay = edited_scheme.find("delay 1 3", edited_scheme.find("output Ack"));
+  ASSERT_NE(ack_delay, std::string::npos);
+  edited_scheme.replace(ack_delay, 9, "delay 1 4");
+
+  TempCacheDir dir;
+  run_cached(dir.str(), quickstart_request(model, scheme));
+  const std::map<std::string, ino_t> cold = pointer_inodes(dir.path);
+  ASSERT_EQ(cold.size(), 2u) << "one pointer per skeleton: the PIM's and the PSM's";
+
+  run_cached(dir.str(), quickstart_request(model, scheme));
+  EXPECT_EQ(pointer_inodes(dir.path), cold) << "a warm repeat must not rewrite a pointer";
+
+  run_cached(dir.str(), quickstart_request(model, edited_scheme));
+  const std::map<std::string, ino_t> edited = pointer_inodes(dir.path);
+  ASSERT_EQ(edited.size(), 2u);
+  int rewritten = 0;
+  for (const auto& [name, inode] : edited) rewritten += cold.at(name) != inode ? 1 : 0;
+  EXPECT_EQ(rewritten, 1) << "the edited PSM's pointer, and only that one, names a new key";
+}
+
+// The warm repeat after a store-section flip is a memo hit that never reads
+// the store: no warning, no exploration, the cold run's report. A
+// skeleton-equal edit then finds the flipped store through the ancestor
+// pointer, rejects it (one warning) and answers cold, exactly like a run
+// without a cache.
+TEST(WarmColdDifferential, CorruptStoreSectionWarmRepeatAndColdEdit) {
+  const std::string model = read_model("quickstart.psv");
+  const std::string scheme = read_model("fast.pss");
+  // Raise the Ack output delay ceiling (the "delay 1 3" after output Ack).
+  std::string edited_scheme = scheme;
+  const std::size_t ack_delay = edited_scheme.find("delay 1 3", edited_scheme.find("output Ack"));
+  ASSERT_NE(ack_delay, std::string::npos);
+  edited_scheme.replace(ack_delay, 9, "delay 1 4");
+  const core::VerifyRequest request = quickstart_request(model, scheme);
+  const core::VerifyRequest edited = quickstart_request(model, edited_scheme);
+  auto psm_reused = [](const core::VerifyReport& report) {
+    std::size_t reused = 0;
+    for (const core::VerifyStageStats& stage : report.schemes.at(0).stages)
+      reused += stage.explore.warm_states_reused + stage.explore.warm_states_revalidated;
+    return reused;
+  };
+
+  {
+    // Control: with an intact cache the edit warm-starts from the stored
+    // PSM. (TempCacheDir names are per test, hence the scope.)
+    TempCacheDir intact;
+    run_cached(intact.str(), request);
+    ASSERT_GT(psm_reused(run_cached(intact.str(), edited)), 0u);
+  }
+
+  TempCacheDir dir;
+  const core::VerifyReport cold = run_cached(dir.str(), request);
+  int flipped = 0;
+  for (const auto& file : std::filesystem::directory_iterator(dir.path)) {
+    if (file.path().extension() != ".psvart") continue;
+    std::vector<std::uint8_t> bytes;
+    {
+      std::ifstream in(file.path(), std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(bytes.size(), kArtifactHeaderSize + memo_section_size(bytes)) << file.path();
+    bytes.back() ^= 0x01;
+    write_file_bytes(file.path().string(), bytes);
+    ++flipped;
+  }
+  ASSERT_EQ(flipped, 2) << "the PIM and the PSM artifact";
+
+  ::testing::internal::CaptureStderr();
+  const core::VerifyReport warm = run_cached(dir.str(), request);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  for (const core::VerifyStageStats& stage : all_stages(warm)) {
+    if (stage.name == "transform") continue;
+    EXPECT_EQ(stage.explorations, 0) << stage.name;
+    EXPECT_STREQ(stage.cache.state(), "warm") << stage.name;
+  }
+  EXPECT_EQ(summary_without_cache_lines(warm.requirement_summary(0, 0)),
+            summary_without_cache_lines(cold.requirement_summary(0, 0)));
+
+  ::testing::internal::CaptureStderr();
+  const core::VerifyReport edit = run_cached(dir.str(), edited);
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("store section"), std::string::npos)
+      << "the edit's ancestor lookup must reject the flipped store";
+  EXPECT_EQ(psm_reused(edit), 0u) << "no warm start from a flipped store";
+  const core::VerifyReport no_cache = core::Verifier().verify(edited);
+  EXPECT_EQ(summary_without_cache_lines(edit.requirement_summary(0, 0)),
+            no_cache.requirement_summary(0, 0));
+  EXPECT_EQ(edit.schemes.at(0).constraints.to_string(),
+            no_cache.schemes.at(0).constraints.to_string());
 }
 
 // Every ranked critical trace of `report` replays against `request`'s PSM

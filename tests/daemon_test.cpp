@@ -241,15 +241,16 @@ TEST(Daemon, RejectsUnsupportedClientVersion) {
   server.stop();
 }
 
-TEST(Daemon, RejectsVersion4HelloWithTypedProtocolError) {
+TEST(Daemon, RejectsVersion5HelloWithTypedProtocolError) {
   net::Server server(loopback_config());
   server.start();
 
-  // A v4 peer would encode the engine tag and cache directory the v5
-  // request layout dropped; the handshake refuses it before any request.
+  // A v5 peer checksums its frames with the byte-serial FNV-1a fold the v6
+  // word-at-a-time fold replaced, so none of its frames would verify; the
+  // handshake refuses it before any request.
   net::Socket sock = net::connect_to("127.0.0.1", server.port());
   ByteWriter hello;
-  hello.u16(4);
+  hello.u16(5);
   net::write_frame(sock, net::FrameType::kHello, 0, hello.buffer());
   std::optional<net::Frame> reply = net::read_frame(sock);
   ASSERT_TRUE(reply.has_value());
@@ -257,7 +258,7 @@ TEST(Daemon, RejectsVersion4HelloWithTypedProtocolError) {
   ByteReader in(reply->payload);
   const net::WireError error = net::decode_wire_error(in);
   EXPECT_EQ(error.code, ErrorCode::kProtocol);
-  EXPECT_NE(error.message.find("version 4"), std::string::npos) << error.message;
+  EXPECT_NE(error.message.find("version 5"), std::string::npos) << error.message;
   server.stop();
 }
 

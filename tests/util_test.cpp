@@ -1,8 +1,10 @@
 // Tests for the shared utility library.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <vector>
 
 #include "util/error.h"
 #include "util/hash.h"
@@ -39,6 +41,75 @@ TEST(Hash, TypedAppendersAreSelfDelimiting) {
   const Digest128 a = Hasher128().str("ab").str("c").digest();
   const Digest128 b = Hasher128().str("a").str("bc").digest();
   EXPECT_NE(a, b);
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t size, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> bytes(size);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  return bytes;
+}
+
+TEST(Hash, DigestIsAFunctionOfTheConcatenatedBytes) {
+  // Whole words fold straight from the input and partial words are
+  // buffered, so every split of a buffer into bytes() calls — across word
+  // boundaries or not — digests the same.
+  const std::vector<std::uint8_t> bytes = random_bytes(203, 11);
+  const Digest128 whole = digest128(bytes.data(), bytes.size());
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    Hasher128 h;
+    h.bytes(bytes.data(), cut).bytes(bytes.data() + cut, bytes.size() - cut);
+    ASSERT_EQ(h.digest(), whole) << "split at " << cut;
+  }
+  Rng rng(12);
+  for (int trial = 0; trial < 200; ++trial) {
+    Hasher128 h;
+    std::size_t at = 0;
+    while (at < bytes.size()) {
+      const std::size_t n = std::min<std::size_t>(
+          bytes.size() - at, static_cast<std::size_t>(rng.uniform_int(0, 19)));
+      h.bytes(bytes.data() + at, n);
+      at += n;
+    }
+    ASSERT_EQ(h.digest(), whole) << "trial " << trial;
+  }
+  // The typed appenders are byte streams too.
+  Hasher128 typed;
+  typed.u8(1).u32(0x05040302u).u64(0x0d0c0b0a09080706ull);
+  const std::uint8_t raw[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13};
+  EXPECT_EQ(typed.digest(), digest128(raw, sizeof raw));
+  // digest() does not consume the stream: appending after it continues it.
+  Hasher128 resumed;
+  resumed.bytes(bytes.data(), 13);
+  (void)resumed.digest();
+  resumed.bytes(bytes.data() + 13, bytes.size() - 13);
+  EXPECT_EQ(resumed.digest(), whole);
+}
+
+TEST(Hash, EverySingleBitFlipChangesTheDigest) {
+  std::vector<std::uint8_t> bytes = random_bytes(4096, 21);
+  const Digest128 pristine = digest128(bytes.data(), bytes.size());
+  for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      bytes[byte] ^= static_cast<std::uint8_t>(1u << bit);
+      ASSERT_NE(digest128(bytes.data(), bytes.size()), pristine)
+          << "bit " << bit << " of byte " << byte;
+      bytes[byte] ^= static_cast<std::uint8_t>(1u << bit);
+    }
+  }
+}
+
+TEST(Hash, TrailingZerosAndLengthsAreDistinguished) {
+  // A zero-padded partial word alone would make "a" and "a\0" collide; the
+  // byte count folded at the end keeps every length distinct.
+  const std::uint8_t zeros[17] = {};
+  std::vector<Digest128> seen;
+  for (std::size_t n = 0; n <= sizeof zeros; ++n) {
+    const Digest128 d = digest128(zeros, n);
+    for (const Digest128& other : seen) EXPECT_NE(d, other) << n << " zero bytes";
+    seen.push_back(d);
+  }
+  EXPECT_NE(Hasher128().str("a").digest(), Hasher128().str(std::string("a\0", 2)).digest());
 }
 
 TEST(Json, EscapesQuotesBackslashesAndControls) {
